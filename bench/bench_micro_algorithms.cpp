@@ -24,7 +24,7 @@ using namespace dyndisp;
 struct RoundInput {
   Graph g;
   Configuration conf;
-  std::vector<InfoPacket> packets;
+  PacketSet packets;
 };
 
 RoundInput make_round(std::size_t k) {
@@ -40,7 +40,7 @@ RoundInput make_round(std::size_t k) {
 
 void BM_Alg1_BuildComponent(benchmark::State& state) {
   const RoundInput input = make_round(static_cast<std::size_t>(state.range(0)));
-  const RobotId start = input.packets.front().sender;
+  const RobotId start = input.packets[0].sender();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::build_component(input.packets, start));
   }
@@ -94,8 +94,13 @@ BENCHMARK(BM_Alg4_PlanRound)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 void BM_PacketAssembly(benchmark::State& state) {
   const RoundInput input = make_round(static_cast<std::size_t>(state.range(0)));
+  NodeIndex index;
+  index.build(input.conf);
+  PacketArena arena;
+  std::size_t bits = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(make_all_packets(input.g, input.conf, true));
+    assemble_arena_metered(arena, input.g, input.conf, true, index, &bits);
+    benchmark::DoNotOptimize(bits);
   }
   state.SetComplexityN(state.range(0));
 }

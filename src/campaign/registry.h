@@ -21,6 +21,7 @@
 #include "graph/graph.h"
 #include "robots/configuration.h"
 #include "sim/algorithm.h"
+#include "sim/fault.h"
 
 namespace dyndisp::campaign {
 
@@ -86,5 +87,13 @@ class Registry {
   std::map<std::string, FamilyFn> families_;
   std::map<std::string, PlacementFn> placements_;
 };
+
+/// The crash schedule every client derives for a (k, faults, seed) tuple:
+/// no faults when `faults` is 0, else FaultSchedule::random over the
+/// horizon [0, k) on the seed*17+5 stream -- one construction, so campaign
+/// records and dyndisp_sim runs agree. Throws std::invalid_argument naming
+/// both values when faults > k (specs and flags are untrusted input).
+FaultSchedule crash_faults(std::size_t k, std::size_t faults,
+                           std::uint64_t seed);
 
 }  // namespace dyndisp::campaign

@@ -76,10 +76,14 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, ResultStore& store,
   std::atomic<std::size_t> reported{0};
   std::mutex progress_mu;
 
+  // Jobs are whole runs, so parallel_for's small-count serial cutoff
+  // (tuned for O(1) round-loop bodies) would leave campaigns of under 192
+  // jobs on one lane; the pool's static partition is used directly. Each
+  // job's record is a pure function of the job, whichever lane runs it;
+  // multi-lane stores are in completion order at every campaign size.
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  parallel_for(pool.get(), pending.size(), [&](std::size_t i) {
+  const auto run_job = [&](std::size_t i) {
     const JobSpec& job = *pending[i];
     TrialRecord record;
     record.job = job;
@@ -124,7 +128,12 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, ResultStore& store,
                   << "\n";
       progress->flush();
     }
-  });
+  };
+  if (pool) {
+    pool->for_each(pending.size(), run_job);
+  } else {
+    for (std::size_t i = 0; i < pending.size(); ++i) run_job(i);
+  }
 
   outcome.executed = pending.size();
   outcome.failed = failed.load();

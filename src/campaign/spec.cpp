@@ -9,7 +9,6 @@
 #include "campaign/registry.h"
 #include "sim/engine.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 namespace dyndisp::campaign {
 
@@ -49,9 +48,6 @@ std::string JobSpec::id() const {
   // Appended only when off so default campaigns keep their pre-existing ids
   // (stores resume across this option's introduction).
   if (!structure_cache) out << "|sc=off";
-  if (!soa) out << "|soa=off";
-  if (!flat_packets) out << "|flat=off";
-  if (!incremental) out << "|inc=off";
   return out.str();
 }
 
@@ -71,9 +67,7 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
   };
   if (job.faults > 0) {
     spec.faults = [job](std::uint64_t seed) {
-      // Same derived stream dyndisp_sim uses, so records are comparable.
-      Rng rng(seed * 17 + 5);
-      return FaultSchedule::random(job.k, job.faults, job.k, rng);
+      return crash_faults(job.k, job.faults, seed);
     };
   }
 
@@ -87,9 +81,6 @@ analysis::TrialSpec make_trial_spec(const JobSpec& job) {
   options.allow_model_mismatch = true;
   options.threads = 1;  // campaign parallelism is across jobs, not robots
   options.structure_cache = job.structure_cache;
-  options.soa = job.soa;
-  options.flat_packets = job.flat_packets;
-  options.incremental_planning = job.incremental;
   spec.options = options;
   return spec;
 }
@@ -101,8 +92,7 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
 
   static const char* const known_keys[] = {
       "name",  "axes",      "family",     "placement",       "groups",
-      "seeds", "base_seed", "max_rounds", "structure_cache", "soa",
-      "flat_packets", "incremental"};
+      "seeds", "base_seed", "max_rounds", "structure_cache"};
   for (const auto& [key, value] : doc.members()) {
     bool known = false;
     for (const char* k : known_keys) known |= key == k;
@@ -151,11 +141,6 @@ CampaignSpec CampaignSpec::parse_json(const std::string& text) {
     spec.max_rounds_ = v->as_uint();
   if (const JsonValue* v = doc.find("structure_cache"))
     spec.structure_cache_ = v->as_bool();
-  if (const JsonValue* v = doc.find("soa")) spec.soa_ = v->as_bool();
-  if (const JsonValue* v = doc.find("flat_packets"))
-    spec.flat_packets_ = v->as_bool();
-  if (const JsonValue* v = doc.find("incremental"))
-    spec.incremental_ = v->as_bool();
   if (spec.seeds_ == 0)
     throw std::invalid_argument("\"seeds\" must be at least 1");
 
@@ -227,9 +212,6 @@ std::vector<JobSpec> CampaignSpec::expand() const {
                 job.max_rounds = max_rounds_;
                 job.seed = base_seed_ + s;
                 job.structure_cache = structure_cache_;
-                job.soa = soa_;
-                job.flat_packets = flat_packets_;
-                job.incremental = incremental_;
                 jobs.push_back(std::move(job));
               }
   return jobs;
@@ -257,8 +239,6 @@ std::string CampaignSpec::canonical() const {
   // Appended only when off: existing campaigns (all default) keep their hash
   // across this option's introduction.
   if (!structure_cache_) out << ";sc=off";
-  if (!soa_) out << ";soa=off";
-  if (!flat_packets_) out << ";flat=off";
   return out.str();
 }
 

@@ -7,7 +7,6 @@
 #include "check/oracles.h"
 #include "dynamic/scripted_adversary.h"
 #include "sim/fault.h"
-#include "util/rng.h"
 
 namespace dyndisp::check {
 
@@ -19,9 +18,6 @@ std::string TrialConfig::summary() const {
   if (comm != "default") os << "|comm=" << comm;
   if (max_rounds != 0) os << "|mr=" << max_rounds;
   if (!structure_cache) os << "|sc=off";
-  if (!soa) os << "|soa=off";
-  if (!flat_packets) os << "|flat=off";
-  if (!incremental) os << "|inc=off";
   if (!script.empty()) os << "|script=" << script.size();
   return os.str();
 }
@@ -41,9 +37,6 @@ void TrialConfig::write_json(JsonWriter& w) const {
   w.member("max_rounds", static_cast<std::uint64_t>(max_rounds));
   w.member("seed", seed);
   w.member("structure_cache", structure_cache);
-  w.member("soa", soa);
-  w.member("flat_packets", flat_packets);
-  w.member("incremental", incremental);
   if (!script.empty())
     w.member("script", ScriptedAdversary::serialize_script(script));
   w.end_object();
@@ -75,12 +68,6 @@ TrialConfig TrialConfig::from_json(const JsonValue& doc) {
     else if (key == "seed") c.seed = value.as_uint();
     // Absent in pre-existing repro artifacts -> the default (true).
     else if (key == "structure_cache") c.structure_cache = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "soa") c.soa = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "flat_packets") c.flat_packets = value.as_bool();
-    // Absent in pre-existing repro artifacts -> the default (true).
-    else if (key == "incremental") c.incremental = value.as_bool();
     else if (key == "script")
       c.script = ScriptedAdversary::parse_script(value.as_string());
     else
@@ -157,9 +144,9 @@ namespace {
 
 /// Everything needed to hand a trial to the Engine. Construction follows
 /// the dyndisp_sim / campaign convention exactly (placement on the
-/// requested n, fault stream Rng(seed*17+5), comm "default" resolved from
-/// the algorithm's declared needs) so a checked run IS the run those tools
-/// would perform.
+/// requested n, fault schedule from campaign::crash_faults, comm "default"
+/// resolved from the algorithm's declared needs) so a checked run IS the
+/// run those tools would perform.
 struct BuiltTrial {
   campaign::AlgorithmChoice algo;
   std::unique_ptr<Adversary> adversary;  ///< Null when an override is used.
@@ -180,10 +167,7 @@ BuiltTrial build_trial(const TrialConfig& c, const Toolbox& tb,
   }
   b.initial = campaign::Registry::instance().placement(c.placement, c.n, c.k,
                                                        c.groups, c.seed);
-  if (c.faults > 0) {
-    Rng rng(c.seed * 17 + 5);
-    b.faults = FaultSchedule::random(c.k, c.faults, c.k, rng);
-  }
+  b.faults = campaign::crash_faults(c.k, c.faults, c.seed);
   b.options.max_rounds = c.effective_max_rounds();
   const std::string comm =
       c.comm == "default" ? (b.algo.needs_global ? "global" : "local") : c.comm;
@@ -193,9 +177,6 @@ BuiltTrial build_trial(const TrialConfig& c, const Toolbox& tb,
   b.options.record_progress = true;
   b.options.threads = threads;
   b.options.structure_cache = c.structure_cache;
-  b.options.soa = c.soa;
-  b.options.flat_packets = c.flat_packets;
-  b.options.incremental_planning = c.incremental;
   return b;
 }
 

@@ -94,8 +94,17 @@ class JsonParser {
     if (eof()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse; a fixed bound turns hostile nesting into the
+        // typed parse error instead of a stack overflow.
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type_ = JsonValue::Type::kString;
@@ -263,8 +272,14 @@ class JsonParser {
     return v;
   }
 
+  /// Deepest array/object nesting accepted. Every document the project
+  /// reads (specs, manifests, records, repro artifacts) nests a handful of
+  /// levels.
+  static constexpr std::size_t kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 JsonValue JsonValue::parse(const std::string& text) {

@@ -6,7 +6,8 @@
 // and indentation; the caller guarantees well-formed nesting (asserted in
 // debug builds). The reader is a strict recursive-descent parser over the
 // JSON grammar (no comments, no trailing commas) that throws
-// std::invalid_argument with a line/column location on malformed input.
+// std::invalid_argument with a line/column location on malformed input,
+// including arrays/objects nested deeper than a fixed bound (256 levels).
 #pragma once
 
 #include <cstdint>

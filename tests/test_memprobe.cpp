@@ -1,7 +1,7 @@
 // Tests for the heap-allocation probe (util/memprobe.h): the counter and
 // AllocGuard mechanics, and -- the reason the probe exists -- the runtime
-// twin of the hotpath-alloc lint rule: a warmed-up engine round under the
-// retained arena/SoA/flat-packet layout performs ZERO heap allocations.
+// twin of the hotpath-alloc lint rule: a warmed-up engine round over the
+// retained view and packet arenas performs ZERO heap allocations.
 // The lint rule proves no allocating call is statically reachable from a
 // DYNDISP_HOT root outside suppressed slow paths; this binary installs the
 // operator-new hook and proves the slow paths actually stop firing once
@@ -78,9 +78,9 @@ class StayRobot final : public RobotAlgorithm {
   }
 };
 
-// The acceptance pin: at k = 10^4 on a static graph with the retained
-// layouts on (structure_cache + soa + flat_packets, the defaults) and one
-// thread, every warmed-up round performs exactly zero heap allocations.
+// The acceptance pin: at k = 10^4 on a static graph with the default
+// engine (structure cache on) and one thread, every warmed-up round
+// performs exactly zero heap allocations.
 // The first rounds grow the retained buffers (index, arena, state table,
 // plan buffer) and MUST allocate; the tail must be allocation-free.
 TEST(Memprobe, SteadyStateRoundsAreAllocationFree) {

@@ -18,7 +18,7 @@ TEST(PacketBits, HandComputedExample) {
   // id_bits = ceil(log2(4)) = 2, port_bits = ceil(log2(4)) = 2.
   const Graph g = builders::path(4);
   const Configuration conf(4, {0, 0, 1});
-  const auto packets = make_all_packets(g, conf, true);
+  const PacketSet packets = make_all_packets(g, conf, true);
   ASSERT_EQ(packets.size(), 2u);
   // Node 0's packet: sender(2) + count(2) + degree(2) + 2 robot IDs (4)
   //   + one occupied neighbor: port(2) + min(2) + count(2) + 1 ID (2) = 18.
@@ -31,8 +31,8 @@ TEST(PacketBits, HandComputedExample) {
 TEST(PacketBits, NoNeighborhoodIsCheaper) {
   const Graph g = builders::path(4);
   const Configuration conf(4, {0, 0, 1});
-  const auto rich = make_all_packets(g, conf, true);
-  const auto lean = make_all_packets(g, conf, false);
+  const PacketSet rich = make_all_packets(g, conf, true);
+  const PacketSet lean = make_all_packets(g, conf, false);
   EXPECT_LT(packet_bit_size(lean[0], 3, 4), packet_bit_size(rich[0], 3, 4));
 }
 

@@ -29,7 +29,6 @@
 #include "util/cli.h"
 #include "viz/svg.h"
 #include "util/csv.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -64,19 +63,6 @@ flags (all optional):
   --no-structure-cache disable the delta-aware round loop / structure cache
                        (results are identical either way; this exposes the
                        rebuild-everything engine for benchmarking)
-  --no-soa             disable the struct-of-arrays round core (persistent
-                       view arena, gated state lists, before-copy elision;
-                       results are identical either way; this exposes the
-                       legacy per-round-allocation path for differential
-                       proofs and benchmarking)
-  --no-flat-packets    disable the flat PacketArena broadcast backend
-                       (results are identical either way; this exposes the
-                       legacy per-round std::vector<InfoPacket> broadcast
-                       path for differential proofs and benchmarking)
-  --no-incremental     disable graph-change-gated plan routing: every round
-                       is re-planned statelessly as full churn (results are
-                       identical either way; this exposes the full-re-plan
-                       engine for differential proofs and benchmarking)
   --faults F           robots to crash at random rounds (default 0)
   --liars L            Byzantine liars (robots 1..L) (default 0)
   --lie KIND           hide-multiplicity | hide-empty | erratic
@@ -148,9 +134,6 @@ int main(int argc, char** argv) {
     options.allow_model_mismatch = true;
     options.record_progress = true;
     if (args.has("no-structure-cache")) options.structure_cache = false;
-    if (args.has("no-soa")) options.soa = false;
-    if (args.has("no-flat-packets")) options.flat_packets = false;
-    if (args.has("no-incremental")) options.incremental_planning = false;
     if (activation < 1.0) {
       options.activation = Activation::kRandomSubset;
       options.activation_probability = activation;
@@ -195,11 +178,7 @@ int main(int argc, char** argv) {
       auto adv = registry.adversary(adversary, family, n, seed);
       Configuration initial =
           registry.placement(placement_name, n, k, groups, seed);
-      FaultSchedule schedule = FaultSchedule::none();
-      if (faults > 0) {
-        Rng rng(seed * 17 + 5);
-        schedule = FaultSchedule::random(k, faults, k, rng);
-      }
+      FaultSchedule schedule = campaign::crash_faults(k, faults, seed);
       EngineOptions trial_options = options;
       trial_options.record_trace =
           t == 0 && (!trace_path.empty() || !svg_path.empty());
