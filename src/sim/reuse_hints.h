@@ -29,7 +29,8 @@ namespace dyndisp {
 /// RETAINING into -- the cache only pins a dead copy of the round's packet
 /// storage. kUnknown (plan probes, hint-less callers) keeps the legacy
 /// always-consult behavior. Purely a performance signal: every route
-/// computes the bitwise-identical plan (the differential suite proves it).
+/// computes the bitwise-identical plan (StructureCache::full_build is the
+/// stateless planner's computation; the golden packet traces pin it).
 enum class GraphChange : std::uint8_t {
   kUnknown,
   kSame,        ///< G_r operator== G_{r-1}.
