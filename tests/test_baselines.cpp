@@ -2,6 +2,8 @@
 // their documented failure modes on dynamic inputs.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/blind_walk.h"
 #include "baselines/dfs_dispersion.h"
 #include "baselines/greedy_local.h"
@@ -54,6 +56,9 @@ Graph g_random() {
   return builders::random_connected(12, 6, rng);
 }
 Graph g_lollipop() { return builders::lollipop(5, 5); }
+
+// Stable case names: the default printer would dump the function pointer.
+void PrintTo(const DfsCase& c, std::ostream* os) { *os << "k=" << c.k; }
 
 class DfsStaticSweep : public ::testing::TestWithParam<DfsCase> {};
 

@@ -2,6 +2,7 @@
 // sizes checking structural invariants of every family.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <queue>
 #include <set>
 #include <utility>
@@ -174,6 +175,13 @@ Graph make_torus() { return torus(3, 3); }
 Graph make_hypercube() { return hypercube(3); }  // n = 8
 Graph make_btree() { return binary_tree(9); }
 Graph make_lollipop() { return lollipop(5, 4); }
+
+// gtest names each case with the printed parameter; the default printer
+// dumps raw bytes, which include function addresses that move with every
+// load. Print only the stable fields so the case names are reproducible.
+void PrintTo(const FamilyCase& c, std::ostream* os) {
+  *os << "n=" << c.n_expected;
+}
 
 class BuilderFamilyTest : public ::testing::TestWithParam<FamilyCase> {};
 

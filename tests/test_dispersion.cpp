@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "analysis/verify.h"
 #include "core/dispersion.h"
@@ -172,6 +173,11 @@ Configuration place_random(std::size_t n, std::size_t k, std::uint64_t seed) {
 Configuration place_grouped(std::size_t n, std::size_t k, std::uint64_t seed) {
   Rng rng(seed);
   return placement::grouped(n, k, std::max<std::size_t>(2, k / 3), rng);
+}
+
+// Stable case names: the default printer would dump the function pointers.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " k=" << c.k;
 }
 
 class DispersionSweep : public ::testing::TestWithParam<SweepCase> {};
