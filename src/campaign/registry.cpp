@@ -96,6 +96,10 @@ Registry::Registry() {
     return builders::grid((n + 3) / 4, 4);
   };
   families_["torus"] = [](std::size_t n, std::uint64_t) {
+    // 3 x ceil(n/3): the builder's cols >= 3 floor is n >= 7.
+    if (n < 7)
+      throw std::invalid_argument("torus family needs n >= 7; got n=" +
+                                  std::to_string(n));
     return builders::torus(3, (n + 2) / 3);
   };
   families_["hypercube"] = [](std::size_t n, std::uint64_t) {

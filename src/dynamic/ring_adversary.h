@@ -22,18 +22,24 @@ class RingAdversary final : public Adversary {
     kFixedRing,    ///< Never remove an edge (static ring control).
   };
 
+  /// Throws std::invalid_argument when n < 3 (a ring needs three nodes).
   RingAdversary(std::size_t n, Strategy strategy, std::uint64_t seed = 3);
 
   std::string name() const override;
   std::size_t node_count() const override { return n_; }
   Graph next_graph(Round r, const Configuration& conf) override;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
  private:
   std::size_t n_;
   Strategy strategy_;
   Rng rng_;
 
-  Graph ring_without(std::size_t missing_edge) const;  // n_ = no removal
+  /// The worst-edge strategy's cut in O(n); n_ = keep the full cycle.
+  std::size_t worst_edge(const Configuration& conf) const;
+  /// Refills `out` with the ring minus edge `missing` (n_ = no removal).
+  void emit_ring(std::size_t missing, Graph& out) const;
 };
 
 }  // namespace dyndisp

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "dynamic/dynamic_graph.h"
 #include "util/rng.h"
@@ -27,11 +28,19 @@ class StarStarAdversary final : public Adversary {
   std::string name() const override { return "star-star-lower-bound"; }
   std::size_t node_count() const override { return n_; }
   Graph next_graph(Round r, const Configuration& conf) override;
+  void next_graph_into(Round r, const Configuration& conf,
+                       Graph& out) override;
 
  private:
   std::size_t n_;
   bool shuffle_ports_;
   Rng rng_;
+  /// Retained per-round buffers: the occupied and empty node lists and the
+  /// port shuffle's scratch, refilled in place so a warm round allocates
+  /// nothing.
+  std::vector<NodeId> occupied_;
+  std::vector<NodeId> empty_;
+  Graph::ShuffleScratch shuffle_scratch_;
 };
 
 }  // namespace dyndisp

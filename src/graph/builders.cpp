@@ -5,6 +5,8 @@
 #include <functional>
 #include <numeric>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "util/contract.h"
 #include "util/parallel.h"
@@ -19,7 +21,9 @@ Graph path(std::size_t n) {
 }
 
 Graph cycle(std::size_t n) {
-  assert(n >= 3);
+  if (n < 3)
+    throw std::invalid_argument("cycle needs n >= 3; got n=" +
+                                std::to_string(n));
   Graph g(n);
   for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   g.add_edge(static_cast<NodeId>(n - 1), 0);
@@ -64,7 +68,10 @@ Graph grid(std::size_t rows, std::size_t cols) {
 }
 
 Graph torus(std::size_t rows, std::size_t cols) {
-  assert(rows >= 3 && cols >= 3);
+  if (rows < 3 || cols < 3)
+    throw std::invalid_argument(
+        "torus needs rows >= 3 and cols >= 3; got rows=" +
+        std::to_string(rows) + " cols=" + std::to_string(cols));
   Graph g(rows * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);

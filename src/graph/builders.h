@@ -19,7 +19,7 @@ namespace dyndisp::builders {
 /// Path 0-1-2-...-(n-1). Requires n >= 1.
 Graph path(std::size_t n);
 
-/// Cycle 0-1-...-(n-1)-0. Requires n >= 3.
+/// Cycle 0-1-...-(n-1)-0. Throws std::invalid_argument unless n >= 3.
 Graph cycle(std::size_t n);
 
 /// Star with center 0 and leaves 1..n-1. Requires n >= 1.
@@ -34,7 +34,8 @@ Graph complete_bipartite(std::size_t a, std::size_t b);
 /// rows x cols grid; node (r, c) has index r*cols + c. Requires rows, cols >= 1.
 Graph grid(std::size_t rows, std::size_t cols);
 
-/// rows x cols torus (grid with wraparound). Requires rows, cols >= 3.
+/// rows x cols torus (grid with wraparound). Throws std::invalid_argument
+/// unless rows, cols >= 3.
 Graph torus(std::size_t rows, std::size_t cols);
 
 /// d-dimensional hypercube with 2^d nodes. Requires d >= 1.

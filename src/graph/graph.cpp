@@ -187,13 +187,17 @@ void Graph::permute_ports_impl(NodeId v, const std::vector<std::size_t>& perm,
 }
 
 void Graph::shuffle_ports(Rng& rng) {
-  std::vector<std::size_t> perm;
-  std::vector<HalfEdge> scratch;
+  ShuffleScratch scratch;
+  shuffle_ports(rng, scratch);
+}
+
+void Graph::shuffle_ports(Rng& rng, ShuffleScratch& scratch) {
+  std::vector<std::size_t>& perm = scratch.perm;
   for (NodeId v = 0; v < adj_.size(); ++v) {
     perm.resize(adj_[v].size());
     std::iota(perm.begin(), perm.end(), std::size_t{0});
     rng.shuffle(perm);
-    permute_ports_impl(v, perm, scratch);
+    permute_ports_impl(v, perm, scratch.row);
   }
 }
 
@@ -329,13 +333,28 @@ bool Graph::changed_nodes_into(const Graph& prev, std::vector<NodeId>& out,
   return true;
 }
 
-std::string Graph::validate() const {
+std::string Graph::validate(std::vector<NodeId>* marks) const {
   // Error strings are formatted only on failure: this runs once per round
   // on every adversary-emitted graph, so the success path must stay
   // allocation-free (a stream per half-edge used to dominate validation).
+  if (marks) marks->assign(adj_.size(), kInvalidNode);
   std::size_t half_edges = 0;
   for (NodeId v = 0; v < adj_.size(); ++v) {
     half_edges += adj_[v].size();
+    // With marks, a row is scanned pairwise only when stamping finds a
+    // repeated neighbour -- and then validation fails, so the quadratic
+    // scan (which picks the error message) is off the success path.
+    bool may_repeat = marks == nullptr;
+    if (marks) {
+      for (const HalfEdge& he : adj_[v]) {
+        if (he.to >= adj_.size()) continue;  // reported below
+        if ((*marks)[he.to] == v) {
+          may_repeat = true;
+          break;
+        }
+        (*marks)[he.to] = v;
+      }
+    }
     for (std::size_t i = 0; i < adj_[v].size(); ++i) {
       const HalfEdge& he = adj_[v][i];
       if (he.to >= adj_.size()) {
@@ -355,7 +374,7 @@ std::string Graph::validate() const {
         return "reverse port mismatch on edge {" + std::to_string(v) + "," +
                std::to_string(he.to) + "}";
       }
-      for (std::size_t j = i + 1; j < adj_[v].size(); ++j) {
+      for (std::size_t j = i + 1; may_repeat && j < adj_[v].size(); ++j) {
         if (adj_[v][j].to == he.to) {
           return "parallel edge {" + std::to_string(v) + "," +
                  std::to_string(he.to) + "}";

@@ -109,6 +109,16 @@ class Graph {
   /// freedom to choose arbitrary port numberings each round.
   void shuffle_ports(Rng& rng);
 
+  /// Caller-owned buffers for shuffle_ports: the per-node permutation and
+  /// the rearranged row.
+  struct ShuffleScratch {
+    std::vector<std::size_t> perm;
+    std::vector<HalfEdge> row;
+  };
+  /// shuffle_ports with retained scratch -- the same draws and result, with
+  /// no allocation once the buffers have grown to the maximum degree.
+  void shuffle_ports(Rng& rng, ShuffleScratch& scratch);
+
   /// Counter-stream sibling of shuffle_ports: every node's ports are
   /// independently Fisher-Yates-permuted from the per-node fork of the
   /// (seed, draw) stream, fanned over `pool` (null runs serially). Equal to
@@ -207,7 +217,11 @@ class Graph {
 
   /// Verifies internal consistency (reverse ports, contiguity, simplicity).
   /// Returns an empty string when valid, else a description of the violation.
-  std::string validate() const;
+  /// `marks` is optional caller-owned per-node scratch: with it the
+  /// parallel-edge check is one stamp per half-edge, linear overall;
+  /// without it that check scans each row pairwise, O(deg^2) per node.
+  /// Either way the success path allocates nothing (given warm `marks`).
+  std::string validate(std::vector<NodeId>* marks = nullptr) const;
 
   bool operator==(const Graph& other) const {
     return adj_ == other.adj_;

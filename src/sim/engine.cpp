@@ -9,7 +9,6 @@
 
 #include "core/planner.h"
 #include "core/structure_cache.h"
-#include "dynamic/validator.h"
 #include "util/memprobe.h"
 #include "util/parallel.h"
 #include "util/phase_clock.h"
@@ -348,7 +347,8 @@ RunResult Engine::run() {
         // would re-derive the same verdict.
         ++res.stats.validations_skipped;
       } else if (std::string err =
-                     validate_round_graph(graph_, conf_.node_count());
+                     validate_round_graph(graph_, conf_.node_count(),
+                                          validate_scratch_);
                  !err.empty()) {
         round_ctx_ = nullptr;
         throw InvariantViolation(r, "round-graph",

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
+#include "dynamic/validator.h"
 #include "robots/configuration.h"
 #include "sim/algorithm.h"
 #include "sim/byzantine.h"
@@ -311,6 +312,7 @@ class Engine {
   bool have_graph_ = false;
   bool graph_validated_ = false;
   std::uint64_t validated_fp_ = 0;
+  RoundGraphScratch validate_scratch_;  ///< Retained validation buffers.
   /// This round's graph-vs-last-round classification, stamped into the
   /// REAL round's hints (probes stay kUnknown: a candidate graph has no
   /// cross-round relation).

@@ -46,6 +46,62 @@ TEST(Validator, RejectsDisconnected) {
             std::string::npos);
 }
 
+/// A graph with hand-written rows and counters left at zero: validate()
+/// checks rows before the edge count, so each planted fault is what it
+/// reports.
+Graph raw_rows(const std::vector<std::vector<HalfEdge>>& rows) {
+  Graph g;
+  g.reset_assembly(rows.size());
+  for (NodeId v = 0; v < rows.size(); ++v) g.assembly_row(v) = rows[v];
+  return g;
+}
+
+TEST(Validator, LinearParallelEdgeCheckKeepsEveryMessage) {
+  struct Case {
+    std::vector<std::vector<HalfEdge>> rows;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {{{{1, 1}, {1, 2}}, {{0, 1}, {0, 2}}}, "parallel edge {0,1}"},
+      // The old pairwise scan reports the duplicate at its FIRST port, so
+      // a later fault in between must not win.
+      {{{{1, 1}, {7, 1}, {1, 2}}, {{0, 1}, {0, 3}}, {}},
+       "parallel edge {0,1}"},
+      {{{{4, 1}}, {}, {}}, "node 0 port 1 points outside graph"},
+      {{{{0, 1}}}, "self-loop at node 0"},
+      {{{{1, 2}}, {{0, 1}}}, "node 0 port 1 has bad reverse port"},
+      {{{{1, 1}}, {{2, 1}}, {{1, 1}}}, "reverse port mismatch on edge {0,1}"},
+      {{{{1, 1}}, {{0, 1}}}, "edge_count out of sync with adjacency"},
+  };
+  std::vector<NodeId> marks = {5, 0, 0, 1};  // stale scratch on purpose
+  for (const Case& c : cases) {
+    const Graph g = raw_rows(c.rows);
+    EXPECT_EQ(g.validate(), c.message);
+    EXPECT_EQ(g.validate(&marks), c.message);
+  }
+}
+
+TEST(Validator, RetainedScratchGivesFreshVerdicts) {
+  // One scratch across graphs of different sizes and shapes: stale marks
+  // or a stale queue must never change a verdict.
+  RoundGraphScratch scratch;
+  Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 2 + rng.below(30);
+    Graph g(n);
+    for (std::size_t e = 0, m = rng.below(2 * n); e < m; ++e) {
+      const auto u = static_cast<NodeId>(rng.below(n));
+      const auto v = static_cast<NodeId>(rng.below(n));
+      if (u != v && !g.has_edge(u, v)) g.add_edge(u, v);
+    }
+    const std::size_t claimed = rng.below(4) == 0 ? n + 1 : n;
+    EXPECT_EQ(validate_round_graph(g, claimed, scratch),
+              validate_round_graph(g, claimed));
+    EXPECT_EQ(validate_round_graph(g, claimed).empty(),
+              claimed == n && is_connected(g));
+  }
+}
+
 // ---- apply_plan ----
 
 TEST(ApplyPlan, MovesAliveRobotsOnly) {
@@ -276,6 +332,44 @@ TEST(StarStarAdversary, OnlyOneEmptyNodeAdjacentToOccupied) {
       if (adjacent_to_occupied) ++reachable_empty;
     }
     EXPECT_LE(reachable_empty, 1u);
+  }
+}
+
+TEST(StarStarAdversary, NextGraphIntoMatchesFreshEmission) {
+  // Recycling a Graph (and the retained node lists and shuffle scratch)
+  // must not change the emitted graph or the port-shuffle draws.
+  constexpr std::size_t n = 24;
+  StarStarAdversary fresh(n, true, 31);
+  StarStarAdversary into(n, true, 31);
+  Rng rng(6);
+  Graph recycled = builders::cycle(5);
+  for (Round r = 0; r < 50; ++r) {
+    const Configuration conf = placement::uniform_random(n, 1 + r % n, rng);
+    const Graph want = fresh.next_graph(r, conf);
+    into.next_graph_into(r, conf, recycled);
+    ASSERT_EQ(recycled, want) << "round " << r;
+    ASSERT_EQ(recycled.fingerprint(), want.fingerprint()) << "round " << r;
+  }
+}
+
+TEST(StarStarAdversary, RecycledRowsStayLinearAsCentresMove) {
+  // The engine double-buffers emitted graphs. As dispersion proceeds
+  // under star-star, the empty star's centre moves to a new node every
+  // round; the recycled rows' total capacity must stay O(n), not grow
+  // with every node that was once a centre.
+  constexpr std::size_t n = 400;
+  StarStarAdversary adv(n);
+  Graph buffers[2];
+  std::vector<NodeId> pos(n / 2, 0);
+  for (Round r = 0; r < n / 2; ++r) {
+    pos[r] = static_cast<NodeId>(r);  // robot r+1 settles on node r
+    adv.next_graph_into(r, placement::explicit_positions(n, pos),
+                        buffers[r % 2]);
+  }
+  for (Graph& g : buffers) {
+    std::size_t capacity = 0;
+    for (NodeId v = 0; v < n; ++v) capacity += g.assembly_row(v).capacity();
+    EXPECT_LE(capacity, 6 * n);
   }
 }
 

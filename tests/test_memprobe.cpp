@@ -12,6 +12,8 @@
 #include <numeric>
 #include <vector>
 
+#include "dynamic/ring_adversary.h"
+#include "dynamic/star_star_adversary.h"
 #include "dynamic/static_adversary.h"
 #include "graph/builders.h"
 #include "robots/placement.h"
@@ -105,6 +107,54 @@ TEST(Memprobe, SteadyStateRoundsAreAllocationFree) {
   for (Round r = kWarmup; r < kRounds; ++r) {
     EXPECT_EQ(res.allocs_per_round[r], 0u) << "allocation in round " << r;
   }
+}
+
+// Regenerating adversaries: the graph is re-emitted into the engine's
+// recycled Graph every round, validated whenever it changed (validation on,
+// the default), and the broadcast is reassembled -- all over retained
+// buffers, so warmed-up rounds allocate nothing either.
+std::vector<std::uint64_t> stay_run_allocs(Adversary& adv, std::size_t k,
+                                           Round rounds) {
+  EngineOptions opt;
+  opt.max_rounds = rounds;
+  opt.threads = 1;
+  opt.alloc_probe = true;
+  Engine engine(
+      adv, placement::rooted(adv.node_count(), k),
+      [](RobotId, std::size_t) { return std::make_unique<StayRobot>(); },
+      opt);
+  const RunResult res = engine.run();
+  EXPECT_FALSE(res.dispersed);
+  EXPECT_EQ(res.allocs_per_round.size(), static_cast<std::size_t>(rounds));
+  return res.allocs_per_round;
+}
+
+void expect_allocation_free_tail(const std::vector<std::uint64_t>& allocs,
+                                 Round warmup) {
+  ASSERT_FALSE(allocs.empty());
+  EXPECT_GT(allocs.front(), 0u);  // the hook is really live
+  for (Round r = warmup; r < allocs.size(); ++r)
+    EXPECT_EQ(allocs[r], 0u) << "allocation in round " << r;
+}
+
+TEST(Memprobe, RandomEdgeRingRoundsAreAllocationFree) {
+  // A fresh random cut every round: the graph changes and is validated
+  // each round.
+  RingAdversary adv(2000, RingAdversary::Strategy::kRandomEdge, 4);
+  expect_allocation_free_tail(stay_run_allocs(adv, 1000, 40), 10);
+}
+
+TEST(Memprobe, WorstEdgeRingRoundsAreAllocationFree) {
+  RingAdversary adv(2000, RingAdversary::Strategy::kWorstEdge, 4);
+  expect_allocation_free_tail(stay_run_allocs(adv, 1000, 40), 10);
+}
+
+TEST(Memprobe, StarStarRoundsAreAllocationFree) {
+  // Port shuffling on (as the registry builds it): every round's graph
+  // differs in its ports, so each round re-validates and fully
+  // reassembles the broadcast.
+  StarStarAdversary adv(2000, true, 4);
+  expect_allocation_free_tail(stay_run_allocs(adv, 1000, 40), 10);
 }
 
 // Without the option the probe records nothing (and the golden suites pin
