@@ -1,54 +1,49 @@
 // Round-time perf harness: wall-clock cost of simulating Algorithm 4 per
-// robot-round, across adversaries, scales, compute-phase thread counts, and
-// the engine's one remaining round-loop switch -- the delta-aware structure
-// cache (EngineOptions::structure_cache). Unlike the
-// theorem benches this one makes no claim about the paper -- it tracks the
-// ENGINE, so perf regressions in the round hot path (packet assembly,
-// state serialization, planning, cross-round reuse, view materialization)
-// show up as a number a CI job or a human can diff across commits. `--json`
-// writes BENCH_roundtime.json, a machine-readable sibling of the ASCII
-// table (schema in README.md).
+// robot-round, across adversaries, scales, and compute-phase thread counts.
+// Unlike the theorem benches this one makes no claim about the paper -- it
+// tracks the ENGINE, so perf regressions in the round hot path (packet
+// assembly, state serialization, planning, cross-round broadcast reuse,
+// view materialization) show up as a number a CI job or a human can diff
+// across commits. `--json` writes BENCH_roundtime.json, a machine-readable
+// sibling of the ASCII table (schema in README.md).
 //
 // The adversary set spans the reuse spectrum: `random` / `star-star` /
-// `ring-worst` rewire every round (the cache can at best break even there),
-// while `static`, `t-interval`, and `scripted` replay graphs across rounds,
-// which is where the delta-aware loop earns its keep. A mega-scale section
-// (random adversary, random placement, k up to 10^6) exercises the regime
-// the struct-of-arrays view arena and the flat packet arena were built for;
-// heap allocations are counted per row (a process-global operator-new
-// counter).
+// `ring-worst` rewire every round, while `static`, `t-interval`, and
+// `scripted` replay graphs across rounds, which is where the round loop's
+// graph skip and broadcast republication/delta assembly fire. A mega-scale
+// section (random adversary, random placement, k up to 10^6) exercises the
+// regime the struct-of-arrays view arena and the flat packet arena were
+// built for; heap allocations are counted per row (a process-global
+// operator-new counter).
 //
 //   bench_roundtime [--json] [--out=FILE] [--threads=1,8] [--reps=N]
 //                   [--smoke] [--mega] [--mega-smoke] [--validate[=FILE]]
 //
-// Each (adversary, k, threads) tuple runs a pair of engine paths -- the
-// default engine (cache on), then the rebuild-everything engine (cache
-// off) -- so the switch is diffed against the default. The k=10^6 mega row
-// runs the default only (a cache-off run at that scale would add minutes
-// for no new information; the pair's identity is pinned up through
-// k=10^5). `--smoke` shrinks the sweep to one tiny size
-// per adversary plus the k=4096 mega row (CI-friendly: seconds, not
-// minutes). `--mega` appends the k=10^6 headline row to the mega section
-// (several minutes and >1 GB RSS, so scripts/repro.sh gates it behind
-// DYNDISP_MEGA=1; see docs/PERFORMANCE.md). `--mega-smoke` instead runs
-// ONLY the mega spec at k=65536 (default engine, threads=1) and exits
-// nonzero if the run misses its heap-allocation or peak-RSS ceilings --
-// the CI-sized canary for the mega row's memory diet, deterministic where
-// wall-clock on shared runners is not. Bare `--validate` checks, after the
-// sweep, that both engine paths of every tuple agreed on all round
-// observables (robot_rounds, rounds, packet_mbits, dispersed) -- the cache
-// claims bitwise identity, and this is that claim at bench scale.
+// Each (adversary, k, threads) tuple is one engine row. `--smoke` shrinks
+// the sweep to one tiny size per adversary plus the k=4096 mega row
+// (CI-friendly: seconds, not minutes). `--mega` appends the k=10^6
+// headline row to the mega section (several minutes and >1 GB RSS, so
+// scripts/repro.sh gates it behind DYNDISP_MEGA=1; see
+// docs/PERFORMANCE.md). `--mega-smoke` instead runs ONLY the mega spec at
+// k=65536 (threads=1) and exits nonzero if the run misses its
+// heap-allocation or peak-RSS ceilings -- the CI-sized canary for the mega
+// row's memory diet, deterministic where wall-clock on shared runners is
+// not. Bare `--validate` checks, after the sweep, that every thread count
+// of an (adversary, k) pair observed the identical run (robot_rounds,
+// rounds, packet_mbits, dispersed) -- the engine claims bitwise identity at
+// any thread count, and this is that claim at bench scale.
 // `--validate=FILE` parses a previously written JSON file, checks it
-// against schema v6 (field presence/types, cache on/off pairing below
-// k=10^6, per-tuple observable identity, reuse counters nonzero on the
-// replay-heavy rows and zero on cache-off rows), and exits -- no timing
-// assertions, so it is safe on loaded CI machines.
+// against schema v7 (field presence/types, one row per tuple, the same
+// cross-thread observable identity, reuse counters nonzero on the
+// replay-heavy rows), and exits -- no timing assertions, so it is safe on
+// loaded CI machines.
 //
 // Schema v5 added the engine's per-phase wall-time buckets (phase_*_ms from
 // RoundLoopStats: graph_build / broadcast / plan / compute / move), so the
-// mega rows' time is attributable without a profiler. Schema v6 drops the
-// retired soa / flat_packets row keys and their counters: each tuple is a
-// cache on/off pair.
+// mega rows' time is attributable without a profiler. Schema v6 dropped the
+// retired soa / flat_packets row keys. Schema v7 drops the retired
+// cross-round cache's on/off column, its cache-off rows and the sc_*
+// counters: one engine row per tuple.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -58,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -85,15 +81,13 @@ namespace {
 
 using namespace dyndisp;
 
-constexpr std::uint64_t kSchemaVersion = 6;
+constexpr std::uint64_t kSchemaVersion = 7;
 constexpr std::uint64_t kSeed = 11;
 
-/// k at and above which only the default engine runs (and the validators
-/// stop demanding cache on/off pairing): the mega headline row.
-constexpr std::size_t kDefaultOnlyK = 1000000;
+/// k at and above which a row runs a single rep: the mega headline row.
+constexpr std::size_t kSingleRepK = 1000000;
 
-/// --mega-smoke ceilings for the k=65536 mega row (default engine,
-/// threads=1). Allocation counts are deterministic (the memprobe counter
+/// --mega-smoke ceilings for the k=65536 mega row (threads=1). Allocation counts are deterministic (the memprobe counter
 /// is exact) and peak RSS at this scale is dominated by n-proportional
 /// state, so both are stable across machines; the margins are ~1.5x the
 /// measured values so only a real regression -- a reintroduced retained
@@ -107,7 +101,6 @@ struct Row {
   std::size_t k = 0;
   std::size_t n = 0;
   std::size_t threads = 1;
-  bool structure_cache = true;
   Round rounds = 0;
   bool dispersed = false;
   std::uint64_t robot_rounds = 0;
@@ -122,13 +115,13 @@ struct Row {
 /// One bench row family: which adversary, how robots are placed, and how the
 /// node count scales with k. The replay-heavy rows use a rooted start on
 /// n = 3k: the run takes many rounds, most robots settle early and stay put,
-/// and only the moving frontier dirties nodes -- the regime the delta
-/// broadcast and structure cache target.
+/// and only the moving frontier dirties nodes -- the regime the broadcast
+/// republication and delta assembly target.
 struct AdversarySpec {
   const char* name;       // registry adversary name, or "scripted"
   const char* placement;  // registry placement name
   std::size_t n_num, n_den;  // n = k * n_num / n_den
-  bool reuse_heavy;       // replays graphs; cache counters must be nonzero
+  bool reuse_heavy;       // replays graphs; reuse counters must be nonzero
 };
 
 constexpr AdversarySpec kSpecs[] = {
@@ -178,12 +171,11 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
-        bool structure_cache, std::size_t reps) {
+        std::size_t reps) {
   Row row;
   row.adversary = spec.name;
   row.k = k;
   row.threads = threads;
-  row.structure_cache = structure_cache;
   // Median-free but repeatable: take the best of `reps` runs so a one-off
   // scheduler hiccup does not masquerade as a regression.
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -196,7 +188,6 @@ Row run(const AdversarySpec& spec, std::size_t k, std::size_t threads,
     EngineOptions opt;
     opt.max_rounds = 10 * k;
     opt.threads = threads;
-    opt.structure_cache = structure_cache;
     Engine engine(*adv, std::move(initial),
                   core::dispersion_factory_memoized(), opt);
     const std::uint64_t allocs_before = dyndisp::memprobe::allocation_count();
@@ -263,7 +254,6 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
     w.member("k", static_cast<std::uint64_t>(r.k));
     w.member("n", static_cast<std::uint64_t>(r.n));
     w.member("threads", static_cast<std::uint64_t>(r.threads));
-    w.member("structure_cache", r.structure_cache);
     w.member("rounds", static_cast<std::uint64_t>(r.rounds));
     w.member("dispersed", r.dispersed);
     w.member("robot_rounds", r.robot_rounds);
@@ -283,8 +273,6 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
              static_cast<std::uint64_t>(r.stats.packets_copied));
     w.member("packets_rebuilt",
              static_cast<std::uint64_t>(r.stats.packets_rebuilt));
-    w.member("sc_exact_hits", r.stats.sc_exact_hits);
-    w.member("sc_components_reused", r.stats.sc_components_reused);
     w.member("phase_graph_build_ms", r.stats.phase_graph_build_ms);
     w.member("phase_broadcast_ms", r.stats.phase_broadcast_ms);
     w.member("phase_plan_ms", r.stats.phase_plan_ms);
@@ -301,52 +289,60 @@ void write_json(const std::vector<Row>& rows, const std::string& path) {
   throw std::runtime_error("validate: " + what);
 }
 
-// ---- bare --validate: cross-path identity over the rows just produced ----
+/// Round observables every thread count of one (adversary, k) pair must
+/// agree on: the engine is bitwise identical at any thread count.
+struct Observables {
+  std::uint64_t robot_rounds = 0;
+  std::uint64_t rounds = 0;
+  double packet_mbits = 0;
+  bool dispersed = false;
 
-/// Checks that within every (adversary, k, threads) tuple, both engine
-/// paths (cache on and off) observed the identical run: same
-/// robot_rounds, rounds, packet_mbits, dispersed. Throws on the first
-/// divergence -- a mismatch means a "pure optimization" changed behavior.
-void validate_rows(const std::vector<Row>& rows) {
-  struct Observed {
-    const Row* first = nullptr;
-  };
-  std::map<std::string, Observed> tuples;
-  for (const Row& row : rows) {
-    const std::string tuple = row.adversary + "/k=" + std::to_string(row.k) +
-                              "/t=" + std::to_string(row.threads);
-    Observed& obs = tuples[tuple];
-    if (obs.first == nullptr) {
-      obs.first = &row;
-      continue;
-    }
-    const Row& a = *obs.first;
-    const auto cache = [](const Row& r) {
-      return r.structure_cache ? "cache=on" : "cache=off";
-    };
-    const auto diverged = [&](const char* what, const std::string& va,
-                              const std::string& vb) {
-      fail(tuple + ": " + what + " diverged across engine paths (" +
-           cache(a) + ": " + va + " | " + cache(row) + ": " + vb + ")");
-    };
-    if (a.robot_rounds != row.robot_rounds)
-      diverged("robot_rounds", std::to_string(a.robot_rounds),
-               std::to_string(row.robot_rounds));
-    if (a.rounds != row.rounds)
-      diverged("rounds", std::to_string(a.rounds), std::to_string(row.rounds));
-    if (a.packet_mbits != row.packet_mbits)
-      diverged("packet_mbits", std::to_string(a.packet_mbits),
-               std::to_string(row.packet_mbits));
-    if (a.dispersed != row.dispersed)
-      diverged("dispersed", std::to_string(a.dispersed),
-               std::to_string(row.dispersed));
+  bool operator==(const Observables&) const = default;
+  std::string str() const {
+    return "robot_rounds=" + std::to_string(robot_rounds) +
+           " rounds=" + std::to_string(rounds) +
+           " packet_mbits=" + std::to_string(packet_mbits) +
+           " dispersed=" + std::to_string(dispersed);
   }
-  std::printf("validate: %zu tuples, every engine path agreed on all round "
-              "observables\n",
-              tuples.size());
+};
+
+/// Collects one row per (adversary, k, threads) tuple and checks every row
+/// of an (adversary, k) pair against the first one seen; throws on a
+/// duplicate tuple or a divergence.
+class IdentityCheck {
+ public:
+  void add(const std::string& adversary, std::uint64_t k,
+           std::uint64_t threads, const Observables& obs) {
+    const std::string pair = adversary + "/k=" + std::to_string(k);
+    const std::string tuple = pair + "/t=" + std::to_string(threads);
+    if (!tuples_.insert(tuple).second) fail(tuple + ": duplicate row");
+    const auto [it, first] = pairs_.emplace(pair, std::make_pair(threads, obs));
+    if (!first && !(it->second.second == obs))
+      fail(pair + ": round observables diverged across thread counts (t=" +
+           std::to_string(it->second.first) + ": " + it->second.second.str() +
+           " | t=" + std::to_string(threads) + ": " + obs.str() + ")");
+  }
+  std::size_t pairs() const { return pairs_.size(); }
+
+ private:
+  std::set<std::string> tuples_;
+  std::map<std::string, std::pair<std::uint64_t, Observables>> pairs_;
+};
+
+// ---- bare --validate: cross-thread identity over the rows just produced ----
+
+void validate_rows(const std::vector<Row>& rows) {
+  IdentityCheck check;
+  for (const Row& row : rows)
+    check.add(row.adversary, row.k, row.threads,
+              {row.robot_rounds, static_cast<std::uint64_t>(row.rounds),
+               row.packet_mbits, row.dispersed});
+  std::printf("validate: %zu (adversary, k) pairs, every thread count agreed "
+              "on all round observables\n",
+              check.pairs());
 }
 
-// ---- --validate=FILE: schema v6 checks, no timing assertions ----
+// ---- --validate=FILE: schema v7 checks, no timing assertions ----
 
 const JsonValue& req(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -371,65 +367,28 @@ int validate_file(const std::string& path) {
   static const char* const kUints[] = {
       "k", "n", "threads", "rounds", "robot_rounds", "heap_allocs",
       "graph_reuses", "validations_skipped", "broadcasts_reused",
-      "broadcast_deltas", "packets_copied", "packets_rebuilt",
-      "sc_exact_hits", "sc_components_reused"};
+      "broadcast_deltas", "packets_copied", "packets_rebuilt"};
   static const char* const kNumbers[] = {
       "wall_ms", "robot_rounds_per_sec", "packet_mbits", "peak_rss_mb",
       "phase_graph_build_ms", "phase_broadcast_ms", "phase_plan_ms",
       "phase_compute_ms", "phase_move_ms"};
-  /// Per (adversary, k, threads) tuple: which cache sides appeared (1 =
-  /// off, 2 = on; both required below the default-only scale) and the
-  /// observables both engine paths must agree on.
-  struct Tuple {
-    unsigned cache_sides = 0;
-    std::uint64_t k = 0;
-    bool seen = false;
-    std::uint64_t robot_rounds = 0;
-    std::uint64_t rounds = 0;
-    double packet_mbits = 0;
-    bool dispersed = false;
-  };
-  std::map<std::string, Tuple> tuples;
+  IdentityCheck check;
   for (const JsonValue& row : rows) {
     const std::string adversary = req(row, "adversary").as_string();
     for (const char* key : kUints) (void)req(row, key).as_uint();
     for (const char* key : kNumbers) (void)req(row, key).as_number();
-    (void)req(row, "dispersed").as_bool();
-    const bool cache = req(row, "structure_cache").as_bool();
-    const std::string tuple = adversary + "/k=" +
-                              std::to_string(req(row, "k").as_uint()) +
-                              "/t=" +
-                              std::to_string(req(row, "threads").as_uint());
-    Tuple& t = tuples[tuple];
-    t.cache_sides |= cache ? 2u : 1u;
-    t.k = req(row, "k").as_uint();
-    // Both engine paths of a tuple ran the identical round sequence; the
-    // round observables must say so.
-    if (!t.seen) {
-      t.seen = true;
-      t.robot_rounds = req(row, "robot_rounds").as_uint();
-      t.rounds = req(row, "rounds").as_uint();
-      t.packet_mbits = req(row, "packet_mbits").as_number();
-      t.dispersed = req(row, "dispersed").as_bool();
-    } else if (t.robot_rounds != req(row, "robot_rounds").as_uint() ||
-               t.rounds != req(row, "rounds").as_uint() ||
-               t.packet_mbits != req(row, "packet_mbits").as_number() ||
-               t.dispersed != req(row, "dispersed").as_bool()) {
-      fail(tuple + ": engine paths disagree on round observables");
-    }
-    if (!cache) {
-      // The rebuild-everything loop must not report reuse it cannot perform.
-      for (const char* key : {"graph_reuses", "broadcasts_reused",
-                              "broadcast_deltas", "sc_exact_hits"}) {
-        if (req(row, key).as_uint() != 0)
-          fail(tuple + ": cache-off row has nonzero " + key);
-      }
-      continue;
-    }
+    const std::uint64_t k = req(row, "k").as_uint();
+    const std::uint64_t threads = req(row, "threads").as_uint();
+    check.add(adversary, k, threads,
+              {req(row, "robot_rounds").as_uint(), req(row, "rounds").as_uint(),
+               req(row, "packet_mbits").as_number(),
+               req(row, "dispersed").as_bool()});
+    const std::string tuple = adversary + "/k=" + std::to_string(k) +
+                              "/t=" + std::to_string(threads);
     for (const AdversarySpec& spec : kSpecs) {
       if (!spec.reuse_heavy || adversary != spec.name) continue;
-      // Replay-heavy adversary with the cache on: the hint path and the
-      // broadcast reuse/delta path must both have fired.
+      // Replay-heavy adversary: the graph skip and the broadcast
+      // republication/delta path must both have fired.
       if (req(row, "graph_reuses").as_uint() == 0)
         fail(tuple + ": reuse-heavy row has graph_reuses == 0");
       if (req(row, "broadcasts_reused").as_uint() +
@@ -437,14 +396,6 @@ int validate_file(const std::string& path) {
           0)
         fail(tuple + ": reuse-heavy row reused no broadcasts");
     }
-  }
-  for (const auto& [tuple, t] : tuples) {
-    // The headline mega row runs the default engine only; no pairing there.
-    if (t.k >= kDefaultOnlyK) continue;
-    if (t.cache_sides != 3u)
-      fail(tuple + ": missing its cache-" +
-           (t.cache_sides == 1u ? std::string("on") : std::string("off")) +
-           " row");
   }
   std::printf("validate: %s ok (%zu rows, schema v%llu)\n", path.c_str(),
               rows.size(),
@@ -478,7 +429,7 @@ int main(int argc, char** argv) try {
     // CI canary: the k=65536 mega row alone, with hard memory ceilings.
     // Runs before anything else so the process RSS high-water mark is its
     // own, not an earlier row's.
-    const Row row = run(kMegaSpec, kMegaSmokeK, 1, true, reps);
+    const Row row = run(kMegaSpec, kMegaSmokeK, 1, reps);
     std::printf(
         "mega-smoke: k=%zu rounds=%llu wall=%.0fms allocs=%llu rss=%.0fMB\n",
         row.k, static_cast<unsigned long long>(row.rounds), row.wall_ms,
@@ -521,47 +472,30 @@ int main(int argc, char** argv) try {
   const auto sweep = [&](const AdversarySpec& spec, const std::string& title,
                          const std::vector<std::size_t>& ks,
                          const std::vector<std::size_t>& threads_list) {
-    AsciiTable table({"k", "threads", "cache", "rounds",
-                      "wall ms", "g/b/p/c/m ms", "robot-rounds/s",
-                      "peak RSS MB", "allocs", "packet Mbits"});
+    AsciiTable table({"k", "threads", "rounds", "wall ms", "g/b/p/c/m ms",
+                      "robot-rounds/s", "peak RSS MB", "allocs",
+                      "packet Mbits"});
     table.set_title(title);
     for (const std::size_t k : ks) {
       for (const std::size_t threads : threads_list) {
-        double base_rate = 0;  // the default (cache-on) engine's rate
-        for (const bool cache : {true, false}) {
-          // The headline k=10^6 row runs the default engine only, and a
-          // single rep: a cache-off run (or a best-of-N retake) at that
-          // scale would add minutes for no new information (identity is
-          // pinned up through k=10^5, and the row's minutes-long wall time
-          // dwarfs scheduler jitter the reps exist to smooth out).
-          if (k >= kDefaultOnlyK && !cache) continue;
-          const std::size_t row_reps = k >= kDefaultOnlyK ? 1 : reps;
-          const Row row = run(spec, k, threads, cache, row_reps);
-          ok &= row.dispersed;
-          rows.push_back(row);
-          std::string rate = fmt_double(row.robot_rounds_per_sec, 0);
-          if (cache) {
-            base_rate = row.robot_rounds_per_sec;
-          } else if (row.robot_rounds_per_sec > 0) {
-            // Speedup the default engine shows over the cache-off path.
-            rate += " (x" +
-                    fmt_double(base_rate / row.robot_rounds_per_sec, 2) +
-                    " vs on)";
-          }
-          // Phase attribution: graph_build/broadcast/plan/compute/move.
-          const std::string phases =
-              fmt_double(row.stats.phase_graph_build_ms, 0) + "/" +
-              fmt_double(row.stats.phase_broadcast_ms, 0) + "/" +
-              fmt_double(row.stats.phase_plan_ms, 0) + "/" +
-              fmt_double(row.stats.phase_compute_ms, 0) + "/" +
-              fmt_double(row.stats.phase_move_ms, 0);
-          table.add_row({std::to_string(row.k), std::to_string(row.threads),
-                         cache ? "on" : "off", std::to_string(row.rounds),
-                         fmt_double(row.wall_ms, 1), phases, rate,
-                         fmt_double(row.peak_rss_mb, 0),
-                         std::to_string(row.heap_allocs),
-                         fmt_double(row.packet_mbits, 2)});
-        }
+        // The headline k=10^6 row runs a single rep: its minutes-long wall
+        // time dwarfs the scheduler jitter the reps exist to smooth out.
+        const Row row = run(spec, k, threads, k >= kSingleRepK ? 1 : reps);
+        ok &= row.dispersed;
+        rows.push_back(row);
+        // Phase attribution: graph_build/broadcast/plan/compute/move.
+        const std::string phases =
+            fmt_double(row.stats.phase_graph_build_ms, 0) + "/" +
+            fmt_double(row.stats.phase_broadcast_ms, 0) + "/" +
+            fmt_double(row.stats.phase_plan_ms, 0) + "/" +
+            fmt_double(row.stats.phase_compute_ms, 0) + "/" +
+            fmt_double(row.stats.phase_move_ms, 0);
+        table.add_row({std::to_string(row.k), std::to_string(row.threads),
+                       std::to_string(row.rounds), fmt_double(row.wall_ms, 1),
+                       phases, fmt_double(row.robot_rounds_per_sec, 0),
+                       fmt_double(row.peak_rss_mb, 0),
+                       std::to_string(row.heap_allocs),
+                       fmt_double(row.packet_mbits, 2)});
       }
     }
     std::fputs(table.render().c_str(), stdout);

@@ -262,7 +262,6 @@ void Coordinator::report(const std::string& id, bool ok, bool dispersed,
         << "\n";
     opts_.progress->flush();
   }
-  if (opts_.on_progress) opts_.on_progress(completed, jobs_.size());
 }
 
 void Coordinator::handle_readable(WorkerProc& w) {

@@ -19,8 +19,7 @@
 //     "groups":    3,                     // grouped-placement group count
 //     "seeds":     10,                    // trials per tuple [1]
 //     "base_seed": 1,                     // first seed [1]
-//     "max_rounds": 0,                    // 0 = 100*k (dyndisp_sim default)
-//     "structure_cache": true             // delta-aware round loop [true]
+//     "max_rounds": 0                     // 0 = 100*k (dyndisp_sim default)
 //   }
 //
 // Every name is validated against the campaign registry at parse time, so a
@@ -53,13 +52,9 @@ struct JobSpec {
   std::size_t faults = 0;
   Round max_rounds = 0;  ///< 0 = 100*k.
   std::uint64_t seed = 1;
-  /// EngineOptions::structure_cache for the job (spec key "structure_cache";
-  /// the delta-aware round loop is on by default).
-  bool structure_cache = true;
 
-  /// Canonical id, e.g. "alg4|random|n=20|k=12|comm=default|f=0|seed=3"
-  /// (+ "|sc=off" when the structure cache is disabled). Uniquely
-  /// identifies the job within its campaign; the resume key.
+  /// Canonical id, e.g. "alg4|random|n=20|k=12|comm=default|f=0|seed=3".
+  /// Uniquely identifies the job within its campaign; the resume key.
   std::string id() const;
 
   /// The round budget actually applied (resolves the 0 default).
@@ -129,7 +124,6 @@ class CampaignSpec {
   std::size_t seeds_ = 1;
   std::uint64_t base_seed_ = 1;
   Round max_rounds_ = 0;
-  bool structure_cache_ = true;
 };
 
 }  // namespace dyndisp::campaign

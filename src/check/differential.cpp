@@ -31,17 +31,6 @@ DiffReport diff_threads(const TrialConfig& config, const Toolbox& toolbox,
                  "threads=" + std::to_string(threads), parallel);
 }
 
-DiffReport diff_structure_cache(const TrialConfig& config,
-                                const Toolbox& toolbox) {
-  TrialConfig on = config;
-  on.structure_cache = true;
-  TrialConfig off = config;
-  off.structure_cache = false;
-  const RunResult cached = run_plain(on, toolbox, config.threads);
-  const RunResult uncached = run_plain(off, toolbox, config.threads);
-  return compare("structure-cache", "cache=on", cached, "cache=off", uncached);
-}
-
 DiffReport diff_construction(const TrialConfig& config) {
   // Leg A: the campaign path, exactly as the scheduler drives it.
   campaign::JobSpec job;
@@ -56,7 +45,6 @@ DiffReport diff_construction(const TrialConfig& config) {
   job.faults = config.faults;
   job.max_rounds = config.max_rounds;
   job.seed = config.seed;
-  job.structure_cache = config.structure_cache;
   analysis::TrialSpec spec = campaign::make_trial_spec(job);
   spec.options.record_progress = true;
   const RunResult via_campaign = analysis::run_trial(spec, job.seed);
@@ -83,7 +71,6 @@ DiffReport diff_construction(const TrialConfig& config) {
   options.neighborhood_knowledge = algo.needs_knowledge;
   options.allow_model_mismatch = true;
   options.record_progress = true;
-  options.structure_cache = config.structure_cache;
   Engine engine(*adversary, std::move(initial), algo.factory, options,
                 std::move(schedule));
   const RunResult via_sim = engine.run();

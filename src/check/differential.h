@@ -1,7 +1,7 @@
 // Differential oracles: the same trial executed two independent ways must
 // produce bitwise-identical results.
 //
-// Three axes are diffed:
+// Two axes are diffed:
 //   * threads      -- the engine's parallel compute phase (threads = N)
 //                     against the fully serial engine (threads = 1). PR 1
 //                     claims bitwise identity at any thread count; this is
@@ -12,16 +12,12 @@
 //                     exists so both resolve a name identically; this
 //                     catches the two paths drifting apart (seed streams,
 //                     option defaults, placement parameters).
-//   * structure-cache -- the delta-aware round loop + StructureCache
-//                     (EngineOptions::structure_cache, the default) against
-//                     the cache-off engine that rebuilds everything every
-//                     round. Every reuse path claims bitwise identity; this
-//                     oracle is that claim, executed.
 //
-// The engine's other one-path optimizations (struct-of-arrays views, flat
-// packet arenas, graph-change-gated planning) have no off switch; golden
-// packet traces (tests/golden/) and the faithful per-robot planner are
-// their references.
+// The engine's one-path optimizations (struct-of-arrays views, flat packet
+// arenas, broadcast reuse and delta assembly) have no off switch; the
+// per-round broadcast-reference oracle (check/oracles.h), the golden packet
+// traces (tests/golden/) and the faithful per-robot planner are their
+// references.
 //
 // "Bitwise identical" means digest_run() equality: every RunResult scalar,
 // the final configuration, and the per-round occupied counts.
@@ -49,11 +45,5 @@ struct DiffReport {
 /// for configs whose every name resolves through the shared registry (no
 /// toolbox extensions, no script).
 [[nodiscard]] DiffReport diff_construction(const TrialConfig& config);
-
-/// Runs `config` with the structure cache on and off (both at the config's
-/// own thread count) and compares digests. The config's own structure_cache
-/// value is ignored: both legs are forced explicitly.
-[[nodiscard]] DiffReport diff_structure_cache(const TrialConfig& config,
-                                              const Toolbox& toolbox);
 
 }  // namespace dyndisp::check

@@ -33,9 +33,9 @@ TrialConfig random_trial(Rng& rng, const Toolbox& toolbox,
   c.groups = 1 + rng.below(std::min(c.k, c.n));
   c.faults =
       rng.chance(options.fault_probability) ? rng.below(c.k / 2 + 1) : 0;
-  // The delta-aware round loop is itself a fuzzed axis: half the trials run
-  // with it off, so oracle coverage spans both engine loops.
-  c.structure_cache = rng.below(2) == 0;
+  // Drawn and discarded where a retired engine switch used to be drawn, so
+  // every base seed still yields its recorded trial stream.
+  (void)rng.below(2);
   return c;
 }
 
@@ -79,14 +79,6 @@ FuzzReport fuzz(const FuzzOptions& options, const Toolbox& toolbox) {
         violation = Violation{"differential-threads", out.result.rounds,
                               threads.detail};
         from_differential = true;
-      }
-      if (!violation) {
-        const DiffReport cache = diff_structure_cache(config, toolbox);
-        if (!cache.ok) {
-          violation = Violation{"differential-structure-cache",
-                                out.result.rounds, cache.detail};
-          from_differential = true;
-        }
       }
       if (!violation && !toolbox.is_extension(config.algorithm) &&
           !toolbox.is_extension(config.adversary)) {

@@ -1,8 +1,11 @@
 #include "check/oracles.h"
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "analysis/verify.h"
+#include "sim/sensing.h"
 #include "util/bits.h"
 
 namespace dyndisp::check {
@@ -60,6 +63,47 @@ InvariantChecker make_invariant_checker(const OracleProfile& profile,
               std::to_string(s.round));
     }
   };
+}
+
+void install_broadcast_reference(EngineOptions& options,
+                                 const FaultSchedule& faults) {
+  if (options.comm != CommModel::kGlobal || options.byzantine) return;
+  // The observer fires right after the round's broadcast is published, the
+  // checker after its Move phase: the observer hands the digest over.
+  struct Published {
+    bool seen = false;
+    Round round = 0;
+    std::uint64_t digest = 0;
+  };
+  auto published = std::make_shared<Published>();
+  options.packet_observer =
+      [published, observer = std::move(options.packet_observer)](
+          Round r, std::size_t count, std::size_t bits, std::uint64_t digest) {
+        if (observer) observer(r, count, bits, digest);
+        *published = Published{true, r, digest};
+      };
+  options.invariant_checker =
+      [published, faults, neighborhood = options.neighborhood_knowledge,
+       checker = std::move(options.invariant_checker)](
+          const RoundSnapshot& s) {
+        if (checker) checker(s);
+        if (!faults.crashes_at(s.round, CrashPhase::kAfterCommunicate).empty())
+          return;
+        const std::string round = std::to_string(s.round);
+        if (!published->seen || published->round != s.round)
+          throw InvariantViolation(
+              s.round, "broadcast-reference",
+              "[broadcast-reference] no broadcast was published in round " +
+                  round);
+        const std::uint64_t reference = packet_set_digest(
+            make_all_packets(s.graph, s.before, neighborhood));
+        if (published->digest != reference)
+          throw InvariantViolation(
+              s.round, "broadcast-reference",
+              "[broadcast-reference] round " + round +
+                  " published a broadcast that differs from make_all_packets "
+                  "on the round's graph and configuration");
+      };
 }
 
 std::optional<Violation> post_run_violation(const OracleProfile& profile,

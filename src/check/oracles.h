@@ -11,6 +11,9 @@
 //
 // Oracle keys (stable; shrinker matching and artifacts use them):
 //   round-graph       engine graph validation (dynamic/validator.h)
+//   broadcast-reference the published broadcast equals make_all_packets on
+//                     the round's graph and configuration, every
+//                     global-communication round (in-engine, every trial)
 //   occupied-monotone Lemma 6 corollary, in-engine, fault-free only
 //   progress          Lemma 7, in-engine (>=1 newly occupied node per round
 //                     while an undispersed robot exists), fault-free only
@@ -24,6 +27,7 @@
 
 #include "check/trial.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 
 namespace dyndisp::check {
 
@@ -47,6 +51,18 @@ OracleProfile oracle_profile(const TrialConfig& config, bool claims_lemmas);
 /// of them bind, so the engine hot path stays untouched.
 InvariantChecker make_invariant_checker(const OracleProfile& profile,
                                         std::size_t k);
+
+/// Installs the broadcast-reference oracle into `options`, chained after any
+/// packet_observer and invariant_checker already set: every round, the
+/// packet_set_digest of the broadcast the engine published must equal the
+/// digest of make_all_packets on the round's graph and start-of-round
+/// configuration -- whichever of full assembly, republication or delta
+/// assembly produced it. A no-op under local communication or a Byzantine
+/// model (tampered packets are not a function of the round). Rounds in
+/// which `faults` crashes a robot after Communicate are skipped: the
+/// snapshot's configuration no longer holds the robot the broadcast carried.
+void install_broadcast_reference(EngineOptions& options,
+                                 const FaultSchedule& faults);
 
 /// Runs the profile's post-run oracles (dispersal, round-bound,
 /// faulty-round-bound) against a completed result, reusing the

@@ -42,10 +42,6 @@ struct TrialConfig {
   std::size_t threads = 1;
   Round max_rounds = 0;             ///< 0 = 100*k, as everywhere else.
   std::uint64_t seed = 1;
-  /// EngineOptions::structure_cache: the delta-aware round loop, on by
-  /// default everywhere. A fuzzable axis -- the differential suite proves
-  /// both values bitwise identical on every drawn trial.
-  bool structure_cache = true;
   std::vector<Graph> script;        ///< Non-empty: scripted replay.
 
   Round effective_max_rounds() const {

@@ -242,23 +242,6 @@ ComponentGraph build_component(const PacketSet& packets, RobotId start_name) {
   return build_component_indexed(index_by_sender(packets), start_name, scratch);
 }
 
-struct ComponentBuilder::Impl {
-  SenderIndex index;
-  ComponentScratch scratch;
-};
-
-ComponentBuilder::ComponentBuilder(const PacketSet& packets)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->index = index_by_sender(packets);
-  impl_->scratch.visited.assign(impl_->index.size(), 0);
-}
-
-ComponentBuilder::~ComponentBuilder() = default;
-
-ComponentGraph ComponentBuilder::component_at(RobotId start_name) {
-  return build_component_indexed(impl_->index, start_name, impl_->scratch);
-}
-
 std::vector<ComponentGraph> build_components_split(
     const PacketSet& packets, std::vector<RobotId>* trivial) {
   const SenderIndex by_sender = index_by_sender(packets);

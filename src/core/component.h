@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -97,30 +96,6 @@ ComponentGraph build_component(const PacketSet& packets, RobotId start_name);
 /// smallest node name they contain. (Simulator-side convenience; each robot
 /// only ever needs its own component.)
 std::vector<ComponentGraph> build_all_components(const PacketSet& packets);
-
-/// Reusable Algorithm 1 builder over ONE packet set: indexes the senders
-/// once and shares the index (and the flood-fill scratch) across every
-/// build() call. StructureCache's delta rebuild constructs one component
-/// per dirty seed; going through build_component re-indexed all k packets
-/// per seed, making a delta round O(dirty_components * k). Seeds handed to
-/// one builder must lie in distinct components (the flood-fill's visited
-/// flags persist, exactly like build_components_split's seed loop);
-/// `packets` must outlive the builder.
-class ComponentBuilder {
- public:
-  explicit ComponentBuilder(const PacketSet& packets);
-  ~ComponentBuilder();
-  ComponentBuilder(const ComponentBuilder&) = delete;
-  ComponentBuilder& operator=(const ComponentBuilder&) = delete;
-
-  /// The component containing `start_name`; identical to
-  /// build_component(packets, start_name) under the seed contract above.
-  ComponentGraph component_at(RobotId start_name);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// build_all_components with the dominant degenerate case split out: when
 /// `trivial` is non-null, single-robot senders whose packets list no occupied

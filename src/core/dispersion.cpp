@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "core/structure_cache.h"
 #include "util/bits.h"
 #include "util/contract.h"
 
@@ -29,13 +28,9 @@ Port DispersionRobot::step(const RobotView& view) {
   const SlidePlan* plan;
   SlidePlan local_plan;
   if (cache_) {
-    // Prefer the handle-keyed cache path: all robots of a round share one
-    // broadcast handle, so the lookup is a pointer compare, not a deep one.
-    // The view's reuse hints ride along so a slot miss can consult the
-    // cross-round StructureCache (invalid hints degrade to plan_round).
-    plan = view.shared_packets
-               ? &cache_->get(view.shared_packets, view.reuse, config_)
-               : &cache_->get(view.packets(), config_);
+    // All robots of a round share one broadcast handle, so the lookup is a
+    // pointer compare, not a deep one.
+    plan = &cache_->get(view.packets(), config_);
   } else {
     local_plan = plan_round(view.packets(), config_);
     plan = &local_plan;
@@ -73,10 +68,6 @@ AlgorithmFactory dispersion_factory() {
 
 AlgorithmFactory dispersion_factory_memoized() {
   auto cache = std::make_shared<PlanCache>();
-  // The cross-round StructureCache is attached unconditionally; it is only
-  // consulted when the engine hands out valid reuse hints (structure_cache
-  // engine option), so attaching it never changes uncached runs.
-  cache->set_structure_cache(std::make_shared<StructureCache>());
   return [cache](RobotId id, std::size_t k) {
     return std::make_unique<DispersionRobot>(id, k, cache);
   };
@@ -85,7 +76,6 @@ AlgorithmFactory dispersion_factory_memoized() {
 AlgorithmFactory dispersion_factory_with_config(PlannerConfig config,
                                                 bool memoized) {
   auto cache = memoized ? std::make_shared<PlanCache>() : nullptr;
-  if (cache) cache->set_structure_cache(std::make_shared<StructureCache>());
   return [cache, config](RobotId id, std::size_t k) {
     return std::make_unique<DispersionRobot>(id, k, cache, config);
   };

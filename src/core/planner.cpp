@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 
-#include "core/structure_cache.h"
 #include "util/contract.h"
 #include "util/phase_clock.h"
 
@@ -120,64 +119,30 @@ SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config) {
   return plan;
 }
 
-const SlidePlan& PlanCache::get_locked(const PacketSet& packets,
-                                       const ReuseHints* hints,
-                                       const PlannerConfig& config) {
+DYNDISP_HOT
+const SlidePlan& PlanCache::get(const PacketSet& packets,
+                                const PlannerConfig& config) {
+  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
+  // serialization point -- plan probes call in from ThreadPool lanes;
+  // uncontended (and never waited on) in the per-round compute phase.
+  std::lock_guard<std::mutex> lock(mu_);
   // PacketSet equality starts with the storage-identity fast path, so a
   // pinned owning key makes repeat queries O(1); the deep comparison backs
   // fresh-storage queries with identical content (trap-adversary probes).
   if (valid_ && config_ == config && key_ == packets) {
     ++hits_;
-    return *value_;
+    return value_;
   }
   ++misses_;
   key_ = packets;
   config_ = config;
-  // Planner-time attribution: the derivation below is the round's actual
-  // planning work (everything else in this function is cache bookkeeping).
+  // Planner-time attribution: the derivation is the round's actual planning
+  // work (everything else in this function is cache bookkeeping).
   const std::uint64_t plan_t0 = phase_clock_ns();
-  // Full-churn rounds (the hint-carrying engine loop observed G_r sharing
-  // essentially nothing with G_{r-1}) route straight to plan_round: the
-  // StructureCache could only miss, and storing the round into it would
-  // retain an owning copy of the broadcast storage -- pinning arenas the
-  // round context wants to recycle. StructureCache::full_build IS
-  // plan_round's computation, so the direct call is bitwise identical.
-  if (structure_ && hints != nullptr && hints->valid && packets &&
-      hints->change != GraphChange::kFullChurn) {
-    value_ = structure_->plan(packets, *hints, config);
-  } else {
-    // NOLINTNEXTLINE-dyndisp(hotpath-alloc): cache-miss slow path; the
-    // steady-state round takes the structure_->plan branch above.
-    value_ = std::make_shared<const SlidePlan>(plan_round(packets, config));
-  }
+  value_ = plan_round(packets, config);
   add_planner_time_ns(phase_clock_ns() - plan_t0);
   valid_ = true;
-  return *value_;
-}
-
-const SlidePlan& PlanCache::get(const PacketSet& packets,
-                                const PlannerConfig& config) {
-  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
-  // serialization point -- plan probes call in from ThreadPool lanes;
-  // uncontended (and never waited on) in the per-round compute phase.
-  std::lock_guard<std::mutex> lock(mu_);
-  return get_locked(packets, nullptr, config);
-}
-
-DYNDISP_HOT
-const SlidePlan& PlanCache::get(const PacketSet& packets,
-                                const ReuseHints& hints,
-                                const PlannerConfig& config) {
-  // NOLINTNEXTLINE-dyndisp(hotpath-blocking): the sanctioned
-  // serialization point -- plan probes call in from ThreadPool lanes;
-  // uncontended (and never waited on) in the per-round compute phase.
-  std::lock_guard<std::mutex> lock(mu_);
-  return get_locked(packets, &hints, config);
-}
-
-void PlanCache::set_structure_cache(std::shared_ptr<StructureCache> cache) {
-  std::lock_guard<std::mutex> lock(mu_);
-  structure_ = std::move(cache);
+  return value_;
 }
 
 std::size_t PlanCache::hits() const {

@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -28,12 +27,9 @@
 #include "core/spanning_tree.h"
 #include "sim/info_packet.h"
 #include "sim/packet_arena.h"
-#include "sim/reuse_hints.h"
 #include "util/types.h"
 
 namespace dyndisp::core {
-
-class StructureCache;
 
 /// What one designated mover robot does this round.
 struct MoveDirective {
@@ -186,12 +182,11 @@ SlidePlan plan_component(const ComponentGraph& cg, const SpanningTree& st,
 SlidePlan plan_round(const PacketSet& packets, const PlannerConfig& config = {});
 
 /// Process-wide planner wall-time accumulator, in nanoseconds: every
-/// PlanCache miss (plan_round or the StructureCache path) adds the time it
-/// spent deriving a plan. Observability only -- the engine snapshots deltas
-/// around its compute phase to split the compute bucket into "planning" vs
-/// "robot steps" (RoundLoopStats::phase_plan_ms), and nothing else reads
-/// it. Monotone; exact when one run executes at a time, advisory under
-/// concurrent runs (same contract as StructureCache::global_stats()).
+/// PlanCache miss adds the time plan_round spent deriving the plan.
+/// Observability only -- the engine snapshots deltas around its compute
+/// phase to split the compute bucket into "planning" vs "robot steps"
+/// (RoundLoopStats::phase_plan_ms), and nothing else reads it. Monotone;
+/// exact when one run executes at a time, advisory under concurrent runs.
 std::uint64_t planner_time_ns();
 
 /// Adds `ns` to the accumulator (PlanCache's miss path; relaxed atomic).
@@ -207,47 +202,24 @@ void add_planner_time_ns(std::uint64_t ns);
 /// round, where every robot receives the same broadcast.
 class PlanCache {
  public:
-  /// Set-keyed fast path: the engine shares one immutable broadcast per
-  /// round, so storage identity short-circuits the deep packet comparison
-  /// (the cache pins owning sets, so the address cannot be reused while it
-  /// is the key). Falls back to content comparison -- trap-adversary probes
+  /// Set-keyed: the engine shares one immutable broadcast per round, so
+  /// storage identity short-circuits the deep packet comparison (the cache
+  /// pins an owning key, so the address cannot be reused while it is the
+  /// key). Falls back to content comparison -- trap-adversary probes
   /// produce byte-identical packet sets under fresh storage and must still
   /// hit.
   const SlidePlan& get(const PacketSet& packets,
                        const PlannerConfig& config = {});
 
-  /// Hint-carrying fast path: on a slot miss with VALID hints and an
-  /// attached StructureCache, the plan is obtained from the cross-round
-  /// cache (exact hit or delta rebuild) instead of plan_round. With invalid
-  /// hints or no StructureCache this overload is byte-for-byte the plain
-  /// set overload -- which is how --no-structure-cache reproduces the
-  /// baseline exactly.
-  const SlidePlan& get(const PacketSet& packets, const ReuseHints& hints,
-                       const PlannerConfig& config = {});
-
-  /// Attaches the cross-round structure cache consulted by the hint-carrying
-  /// get() overload. Null detaches (hints are then ignored).
-  void set_structure_cache(std::shared_ptr<StructureCache> cache);
-  const std::shared_ptr<StructureCache>& structure_cache() const {
-    return structure_;
-  }
-
   std::size_t hits() const;
   std::size_t misses() const;
 
  private:
-  const SlidePlan& get_locked(const PacketSet& packets,
-                              const ReuseHints* hints,
-                              const PlannerConfig& config);
-
   mutable std::mutex mu_;
-  std::shared_ptr<StructureCache> structure_;
   /// The stored key: an owning set, so pointer hits stay O(1).
   PacketSet key_;
   PlannerConfig config_;
-  /// Immutable so StructureCache-produced plans are shared, not copied; the
-  /// slot repoints on every miss while old plans stay alive for borrowers.
-  std::shared_ptr<const SlidePlan> value_;
+  SlidePlan value_;
   bool valid_ = false;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

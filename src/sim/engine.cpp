@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/planner.h"
-#include "core/structure_cache.h"
 #include "util/memprobe.h"
 #include "util/parallel.h"
 #include "util/phase_clock.h"
@@ -82,24 +81,13 @@ void Engine::refresh_state(RobotId id) {
   states_[id - 1] = std::make_shared<const std::vector<std::uint8_t>>(w.bytes());
 }
 
-ReuseHints Engine::make_hints(const Graph& g) const {
-  ReuseHints hints;
-  hints.valid = options_.structure_cache && options_.comm == CommModel::kGlobal &&
-                options_.byzantine == nullptr;
-  hints.neighborhood = options_.neighborhood_knowledge;
-  hints.graph_fp = g.fingerprint();
-  hints.conf_digest = ctx_.conf_digest();
-  return hints;
-}
-
 void Engine::plan_on(const Graph& g, const Configuration& conf,
                      Round round, const EngineOptions& options,
                      const std::vector<Port>& arrival_ports,
                      const std::vector<bool>& active,
                      const std::vector<RobotAlgorithm*>& robots,
                      const RoundContext& ctx, PacketSet packets,
-                     const ReuseHints& hints, ThreadPool* pool,
-                     std::vector<RobotView>& views,
+                     ThreadPool* pool, std::vector<RobotView>& views,
                      const ViewNeeds& needs, MovePlan& plan) {
   const bool neighborhood = options.neighborhood_knowledge;
   const std::size_t k = conf.robot_count();
@@ -119,7 +107,6 @@ void Engine::plan_on(const Graph& g, const Configuration& conf,
     view.arrival_port = arrival_ports[i];
     if (needs.colocated_states)
       view.colocated_states = ctx.node_states(conf.position(id));
-    view.reuse = hints;
   });
 
   // Phase 2: every robot computes; state mutations cannot leak into views
@@ -164,27 +151,18 @@ MovePlan Engine::probe_plan(const Graph& candidate) const {
         options_.byzantine.get(), pool_.get());
   }
   // The probe round number equals the round being constructed; the engine
-  // stores it in probe_round_ via the lambda installed in run(). Probe hints
-  // carry the CANDIDATE's fingerprint: the dry-run broadcast is a function
-  // of the candidate graph, and a cached structure only serves it after a
-  // content compare, so probing can never leak a wrong plan.
+  // stores it in probe_round_ via the lambda installed in run().
   MovePlan plan;
   plan_on(candidate, conf_, probe_round_, options_, arrival_ports_, active_,
-          raw, *round_ctx_, std::move(packets), make_hints(candidate),
-          pool_.get(), views_arena_, needs_, plan);
+          raw, *round_ctx_, std::move(packets), pool_.get(), views_arena_,
+          needs_, plan);
   return plan;
 }
 
 MovePlan& Engine::compute_plan(const Graph& g, Round round,
                                const RoundContext& ctx) {
-  // The real round carries the graph-change classification the loop just
-  // derived; probe_plan's hints stay kUnknown (candidates have no
-  // cross-round relation).
-  ReuseHints hints = make_hints(g);
-  hints.change = round_change_;
   plan_on(g, conf_, round, options_, arrival_ports_, active_, raw_robots_,
-          ctx, ctx.packets(), hints, pool_.get(), views_arena_, needs_,
-          plan_buf_);
+          ctx, ctx.packets(), pool_.get(), views_arena_, needs_, plan_buf_);
   return plan_buf_;
 }
 
@@ -225,10 +203,6 @@ RunResult Engine::run() {
   res.initial_occupied = conf_.occupied_count();
   res.max_occupied = res.initial_occupied;
 
-  // StructureCache counters are process-wide; a start-of-run snapshot turns
-  // them into per-run deltas (exact when runs execute one at a time).
-  const core::StructureCacheStats sc_before =
-      core::StructureCache::global_stats();
   const auto finalize_stats = [&]() {
     const RoundContext::Counters& rc = ctx_.counters();
     res.stats.packets_copied = rc.packets_copied;
@@ -236,16 +210,6 @@ RunResult Engine::run() {
     res.stats.node_state_lists_reused = rc.node_state_lists_reused;
     res.stats.scratch_reuses = rc.scratch_reuses;
     res.stats.state_handles_reused = state_handles_reused_;
-    const core::StructureCacheStats sc_after =
-        core::StructureCache::global_stats();
-    res.stats.sc_exact_hits = sc_after.exact_hits - sc_before.exact_hits;
-    res.stats.sc_delta_rounds = sc_after.delta_rounds - sc_before.delta_rounds;
-    res.stats.sc_full_builds = sc_after.full_builds - sc_before.full_builds;
-    res.stats.sc_components_reused =
-        sc_after.components_reused - sc_before.components_reused;
-    res.stats.sc_components_rebuilt =
-        sc_after.components_rebuilt - sc_before.components_rebuilt;
-    res.stats.sc_evictions = sc_after.evictions - sc_before.evictions;
   };
 
   // Exploration tracking on occupancy bitset words: ever-occupied is the
@@ -304,10 +268,9 @@ RunResult Engine::run() {
     // compute phase = [t2,t3) split into plan (planner accumulator delta)
     // and the remainder, move = [t3,t4).
     const std::uint64_t ph_t0 = phase_clock_ns();
-    const bool sc = options_.structure_cache;
     bool same_graph = false;   // G_r provably operator== G_{r-1}
     bool small_delta = false;  // G_r near G_{r-1}; graph_delta_ holds the diff
-    if (sc && have_graph_ && adversary_.same_as_last(r, conf_)) {
+    if (have_graph_ && adversary_.same_as_last(r, conf_)) {
       // Honest hint (conformance-tested per adversary): the graph the
       // adversary would emit equals the one it last emitted, which is
       // graph_. Skip constructing it at all.
@@ -319,7 +282,7 @@ RunResult Engine::run() {
       // swap promotes it -- no per-round Graph allocation in steady state.
       adversary_.next_graph_into(r, conf_, scratch_graph_);
       const Graph& g = scratch_graph_;
-      if (sc && have_graph_) {
+      if (have_graph_) {
         if (g.fingerprint() == graph_.fingerprint() && g == graph_) {
           same_graph = true;
         } else {
@@ -336,13 +299,10 @@ RunResult Engine::run() {
       if (!same_graph) graph_validated_ = false;
     }
     if (same_graph) ++res.stats.same_graph_rounds;
-    round_change_ = same_graph    ? GraphChange::kSame
-                    : small_delta ? GraphChange::kSmallDelta
-                                  : GraphChange::kFullChurn;
 
     if (options_.validate_graphs) {
       const std::uint64_t fp = graph_.fingerprint();
-      if (sc && same_graph && graph_validated_ && validated_fp_ == fp) {
+      if (same_graph && graph_validated_ && validated_fp_ == fp) {
         // The identical graph already passed validation; re-running it
         // would re-derive the same verdict.
         ++res.stats.validations_skipped;
@@ -364,8 +324,8 @@ RunResult Engine::run() {
     res.stats.phase_graph_build_ms += phase_ns_to_ms(ph_t1 - ph_t0);
 
     if (options_.comm == CommModel::kGlobal) {
-      const bool can_source = sc && options_.byzantine == nullptr &&
-                              ctx_.has_prev_packets();
+      const bool can_source =
+          options_.byzantine == nullptr && ctx_.has_prev_packets();
       if (can_source && same_graph && !ctx_.occupancy_changed()) {
         // Both broadcast inputs are unchanged: republish the previous
         // round's packets by handle, bits ledger and all.

@@ -109,19 +109,8 @@ struct EngineOptions {
   /// Hard stop; impossibility benches use this as the containment horizon.
   Round max_rounds = 100000;
   /// Validate every adversary-emitted graph (connectivity, ports, |V|).
+  /// An unchanged graph that already passed is not re-validated.
   bool validate_graphs = true;
-  /// Delta-aware round loop (docs/PERFORMANCE.md): skip next_graph when the
-  /// adversary promises an unchanged graph (same_as_last), skip re-validating
-  /// a graph already validated, reuse or delta-assemble the packet broadcast
-  /// across rounds, and hand robots valid ReuseHints so plan layers can
-  /// memoize Algorithm 1-3 structures across rounds (StructureCache). The
-  /// hints carry the round's graph-change class (GraphChange), so full-churn
-  /// rounds re-plan statelessly instead of consulting -- and pinning packet
-  /// storage into -- a StructureCache that could only miss. Every reuse
-  /// path is bitwise identical to the rebuilt path (the differential suite
-  /// proves it); disabling this reproduces the seed engine's behavior
-  /// call-for-call, which is what --no-structure-cache exposes.
-  bool structure_cache = true;
   /// Record a full per-round trace (heavy).
   bool record_trace = false;
   /// Record per-round heap-allocation counts into
@@ -162,13 +151,13 @@ struct EngineOptions {
   std::size_t threads = 1;
 };
 
-/// Delta-aware round-loop effectiveness, counted (not estimated) per run.
+/// Round-loop reuse effectiveness, counted (not estimated) per run.
 /// Observability only: these fields are deliberately excluded from run
-/// digests (check/trial.cpp) and campaign records, so toggling
-/// EngineOptions::structure_cache can never change a correctness-compared
-/// output -- the differential suite relies on exactly that. The exclusion
-/// is machine-checked: the DYNDISP_STATS tag makes any read of these
-/// fields inside a digest/serialize function a digest-exclusion finding.
+/// digests (check/trial.cpp) and campaign records, so a change in how often
+/// a reuse path fires can never change a correctness-compared output. The
+/// exclusion is machine-checked: the DYNDISP_STATS tag makes any read of
+/// these fields inside a digest/serialize function a digest-exclusion
+/// finding.
 struct DYNDISP_STATS RoundLoopStats {
   std::size_t same_graph_rounds = 0;    ///< Rounds where G_r == G_{r-1}.
   std::size_t graph_reuses = 0;         ///< next_graph calls skipped (hint).
@@ -181,15 +170,11 @@ struct DYNDISP_STATS RoundLoopStats {
   std::size_t node_state_lists_reused = 0;  ///< Per-node state lists kept by handle.
   std::size_t scratch_reuses = 0;       ///< Round buffers refilled in place.
   std::size_t occupancy_words = 0;      ///< Words per occupancy bitset (ceil(n/64)).
-  /// StructureCache (planner-layer) counters: per-run deltas of the
-  /// process-wide totals. Exact when one run executes at a time; advisory
-  /// under concurrent runs (campaign mode does not record them).
+  /// Always 0: the cross-round plan cache these counted is gone (every
+  /// plan-cache miss re-plans from the round's packets). Kept only because
+  /// the benchmark still reads them for its core.sc_hit_ratio metric.
   std::uint64_t sc_exact_hits = 0;
   std::uint64_t sc_delta_rounds = 0;
-  std::uint64_t sc_full_builds = 0;
-  std::uint64_t sc_components_reused = 0;
-  std::uint64_t sc_components_rebuilt = 0;
-  std::uint64_t sc_evictions = 0;
   /// Per-phase wall-time buckets, milliseconds summed over every executed
   /// round (util/phase_clock.h; observability only, digest-excluded like
   /// everything here). graph_build covers the adversary's next_graph plus
@@ -299,10 +284,10 @@ class Engine {
   /// adversary (and its plan probes) are consulted.
   const RoundContext* round_ctx_ = nullptr;
 
-  /// Round-loop persistence (delta-aware loop). ctx_ lives across rounds so
-  /// its buffers are reused; graph_ holds G_{r-1} for same-graph detection
-  /// and deltas; graph_validated_/validated_fp_ remember whether graph_
-  /// already passed validate_round_graph.
+  /// Round-loop persistence. ctx_ lives across rounds so its buffers are
+  /// reused; graph_ holds G_{r-1} for same-graph detection and deltas;
+  /// graph_validated_/validated_fp_ remember whether graph_ already passed
+  /// validate_round_graph.
   RoundContext ctx_;
   Graph graph_;
   /// Double buffer for adversary emission: next_graph_into fills this (the
@@ -313,10 +298,6 @@ class Engine {
   bool graph_validated_ = false;
   std::uint64_t validated_fp_ = 0;
   RoundGraphScratch validate_scratch_;  ///< Retained validation buffers.
-  /// This round's graph-vs-last-round classification, stamped into the
-  /// REAL round's hints (probes stay kUnknown: a candidate graph has no
-  /// cross-round relation).
-  GraphChange round_change_ = GraphChange::kUnknown;
   Graph::Delta graph_delta_;         ///< Scratch: G_r vs G_{r-1}.
   std::vector<NodeId> dirty_nodes_;  ///< Scratch: delta-assembly dirty set.
   MovePlan plan_buf_;                ///< Retained compute-phase plan buffer.
@@ -334,10 +315,8 @@ class Engine {
   /// Views are assembled for ALL robots first (so state exchange reflects
   /// the synchronous start-of-round snapshot), then every robot steps.
   /// `packets` is the (possibly candidate) broadcast for `g`; shared round
-  /// artifacts come from `ctx`; `hints` ride into every view (invalid hints
-  /// when the broadcast is not a pure function of (g, conf, model)).
-  /// Views are filled in place into `view_arena`'s slots under `needs`
-  /// gating.
+  /// artifacts come from `ctx`. Views are filled in place into
+  /// `view_arena`'s slots under `needs` gating.
   /// `plan` is an out-parameter refilled via assign() so the round loop's
   /// retained buffer never reallocates in steady state.
   static void plan_on(const Graph& g, const Configuration& conf,
@@ -346,14 +325,8 @@ class Engine {
                       const std::vector<bool>& active,
                       const std::vector<RobotAlgorithm*>& robots,
                       const RoundContext& ctx, PacketSet packets,
-                      const ReuseHints& hints, ThreadPool* pool,
-                      std::vector<RobotView>& view_arena,
+                      ThreadPool* pool, std::vector<RobotView>& view_arena,
                       const ViewNeeds& needs, MovePlan& plan);
-
-  /// Hints describing the broadcast for graph `g` this round; valid only
-  /// when the structure-cache loop is on, communication is global, and no
-  /// Byzantine model tampers packets.
-  ReuseHints make_hints(const Graph& g) const;
 
   /// Re-serializes robot `id`'s persistent state into states_.
   void refresh_state(RobotId id);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "graph/fingerprint.h"
 #include "util/parallel.h"
 
 namespace dyndisp {
@@ -32,12 +31,6 @@ void RoundContext::begin_round(const Configuration& conf,
   std::swap(prev_index_, index_);
   if (index_.node_count() == n) ++counters_.scratch_reuses;
   index_.build(conf);
-  conf_digest_ = 0;
-  for (RobotId id = 1; id <= conf.robot_count(); ++id) {
-    if (!conf.alive(id)) continue;
-    conf_digest_ ^= fp_mix((static_cast<std::uint64_t>(id) << 32) |
-                           conf.position(id));
-  }
 
   // Diff occupancy against the previous round. A node-count change (never
   // happens mid-run under one adversary, but contexts are reusable) voids

@@ -83,10 +83,6 @@ class RoundContext {
   /// ascending -- including nodes that became empty.
   const std::vector<NodeId>& changed_nodes() const { return changed_nodes_; }
 
-  /// XOR digest over alive robots of their (id, position) pair, mixed per
-  /// robot -- the configuration half of the ReuseHints key.
-  std::uint64_t conf_digest() const { return conf_digest_; }
-
   /// Assembles the packet broadcast for the round's actual graph exactly
   /// once: wire bits are metered during assembly (pre-tamper, matching the
   /// honest-wire-cost metric), then the optional Byzantine model corrupts
@@ -156,9 +152,9 @@ class RoundContext {
 
  private:
   /// An arena free for refilling: a pooled buffer nothing else references
-  /// (use_count() == 1 -- a buffer pinned by a view, plan-cache key, or
-  /// structure-cache entry is skipped BY CONSTRUCTION, so in-place refill
-  /// can never corrupt a broadcast someone still reads), else a fresh one.
+  /// (use_count() == 1 -- a buffer pinned by a view or the plan-cache key
+  /// is skipped BY CONSTRUCTION, so in-place refill can never corrupt a
+  /// broadcast someone still reads), else a fresh one.
   /// The pool is capped; overflow buffers are simply not retained.
   std::shared_ptr<PacketArena> acquire_arena();
 
@@ -169,14 +165,12 @@ class RoundContext {
   std::vector<std::shared_ptr<const std::vector<StateHandle>>> node_states_;
   std::vector<NodeId> changed_nodes_;
   bool occupancy_changed_ = true;
-  std::uint64_t conf_digest_ = 0;
 
   PacketSet packets_;
   PacketSet prev_packets_;
   /// Retained arena buffers cycled through acquire_arena(). Small and
-  /// bounded: current + previous broadcast plus however many rounds the
-  /// caches pin, which the default StructureCache capacity keeps under the
-  /// cap in steady state.
+  /// bounded: the current and previous broadcasts plus the one the plan
+  /// cache's key pins.
   std::vector<std::shared_ptr<PacketArena>> arena_pool_;
   /// Wire bits / sender node of each packet, aligned to packets_ order (and
   /// the prev_ pair to prev_packets_). Only maintained on untampered

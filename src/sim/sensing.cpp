@@ -89,7 +89,6 @@ void fill_view_impl(RobotView& out, const Graph& g, const Configuration& conf,
   // Engine-owned fields: reset exactly as a fresh make_view result.
   out.arrival_port = kInvalidPort;
   out.colocated_states = nullptr;
-  out.reuse = ReuseHints{};
 
   out.neighborhood_knowledge = neighborhood;
   out.empty_ports.clear();

@@ -16,7 +16,6 @@
 #include "robots/configuration.h"
 #include "sim/info_packet.h"
 #include "sim/packet_arena.h"
-#include "sim/reuse_hints.h"
 #include "util/types.h"
 
 namespace dyndisp {
@@ -79,12 +78,6 @@ struct RobotView {
   /// robot would make every round Theta(k^2) in packet volume). Read
   /// through PacketView.
   PacketSet shared_packets;
-
-  /// Cross-round reuse hints for the shared packet set (filled by the
-  /// engine, like arrival_port; invalid in bare make_view results). Caching
-  /// algorithm layers key cross-round structure reuse on these; the default
-  /// invalid hints always take the uncached path.
-  ReuseHints reuse;
 
   /// The packet set (empty when local communication is in effect).
   const PacketSet& packets() const { return shared_packets; }
@@ -165,9 +158,8 @@ std::vector<InfoPacket> make_all_packets(const Graph& g,
 /// Process-wide count of FULL broadcast assemblies (assemble_arena_metered
 /// calls: round broadcasts and trap-adversary probe broadcasts). Test hook:
 /// the engine assembles the broadcast at most once per executed round.
-/// With the delta-aware round loop enabled (EngineOptions::structure_cache),
-/// reuse and delta rounds do not count as assemblies -- tests pinning
-/// assemblies == rounds must run with structure_cache off.
+/// Rounds the engine serves by republishing or delta-assembling the
+/// previous broadcast do not count as assemblies.
 std::size_t packet_assembly_count();
 
 /// Wire size of one packet in bits, for the communication-cost metric:
@@ -208,8 +200,8 @@ RobotView make_view(const Graph& g, const Configuration& conf, RobotId id,
 /// declares (plus the unconditional scalars: self, round, k, degree,
 /// node_count, empty_neighbor_count, global_comm, shared_packets), reusing
 /// `out`'s vector capacities across rounds. Undeclared fields are left
-/// cleared. arrival_port, colocated_states, and reuse are reset for the
-/// engine to fill, as in make_view.
+/// cleared. arrival_port and colocated_states are reset for the engine to
+/// fill, as in make_view.
 void fill_view(RobotView& out, const Graph& g, const Configuration& conf,
                RobotId id, Round round, CommModel comm, bool neighborhood,
                const PacketSet& packets, const NodeIndex& index,

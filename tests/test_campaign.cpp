@@ -253,9 +253,11 @@ TEST(CampaignSpec, RejectsUnknownNamesAndMalformedInput) {
   EXPECT_THROW(CampaignSpec::parse_json(deep), std::invalid_argument);
   EXPECT_THROW(CampaignSpec::parse_json(R"({"name": "x", "axes": )" + deep),
                std::invalid_argument);
-  // The struct-of-arrays core, flat packet arena and graph-change routing
-  // are the engine's only path; their former off-switches are unknown keys.
-  for (const std::string key : {"soa", "flat_packets", "incremental"}) {
+  // The struct-of-arrays core, flat packet arena, graph-change routing and
+  // cross-round reuse loop are the engine's only path; their former
+  // off-switches are unknown keys.
+  for (const std::string key :
+       {"soa", "flat_packets", "incremental", "structure_cache"}) {
     try {
       (void)CampaignSpec::parse_json(R"({"name": "x", ")" + key +
                                      R"(": false})");

@@ -16,7 +16,11 @@
 #include "check/repro.h"
 #include "check/shrinker.h"
 #include "check/trial.h"
+#include "core/dispersion.h"
+#include "dynamic/static_adversary.h"
 #include "graph/builders.h"
+#include "robots/placement.h"
+#include "sim/byzantine.h"
 #include "util/rng.h"
 
 namespace dyndisp::check {
@@ -64,7 +68,8 @@ TEST(TrialConfig, ParseRejectsUnknownKeysAndGarbage) {
                                        std::string(100000, '{')),
                std::invalid_argument);
   // Engine switches that no longer exist are unknown keys, not no-ops.
-  for (const std::string key : {"soa", "flat_packets", "incremental"}) {
+  for (const std::string key :
+       {"soa", "flat_packets", "incremental", "structure_cache"}) {
     try {
       (void)TrialConfig::parse_json(R"({")" + key + R"(": true})");
       ADD_FAILURE() << "accepted trial key " << key;
@@ -188,6 +193,52 @@ TEST(RunChecked, DispersalOracleFiresWhenTheHorizonIsTooShort) {
   const CheckedOutcome out = run_checked(c, Toolbox{});
   ASSERT_TRUE(out.violation.has_value());
   EXPECT_EQ(out.violation->oracle, "dispersal");
+}
+
+// ---- broadcast-reference: every published broadcast, every path ----
+
+TEST(BroadcastReference, HoldsOnRepublishedDeltaAndCrashRounds) {
+  // A static torus under the round-robin scheduler drives the round loop
+  // through all three broadcast paths: a round whose one active robot does
+  // not move republishes the previous broadcast, a moving round
+  // delta-assembles it, and the first round assembles it in full. The
+  // crash events cover both phases, including the after-Communicate round
+  // the oracle skips.
+  StaticAdversary adv(builders::torus(5, 6));
+  const FaultSchedule faults({{2, 5, CrashPhase::kAfterCommunicate},
+                              {4, 7, CrashPhase::kBeforeCommunicate}});
+  EngineOptions opt;
+  opt.max_rounds = 300;
+  opt.activation = Activation::kRoundRobin;
+  install_broadcast_reference(opt, faults);
+  Engine engine(adv, placement::rooted(30, 20),
+                core::dispersion_factory_memoized(), opt, faults);
+  const RunResult r = engine.run();
+  EXPECT_EQ(r.crashed, 2u);
+  EXPECT_GT(r.stats.broadcasts_reused, 0u);
+  EXPECT_GT(r.stats.broadcast_deltas, 0u);
+}
+
+TEST(BroadcastReference, FiresOnATamperedBroadcast) {
+  // The oracle is installed on an honest run, then a liar model is attached
+  // behind its back: robot 1 broadcasts for the crowded root node and hides
+  // its multiplicity, so the very first published broadcast is not the
+  // reference assembly of the round.
+  StaticAdversary adv(builders::path(12));
+  EngineOptions opt;
+  opt.max_rounds = 50;
+  install_broadcast_reference(opt, FaultSchedule::none());
+  opt.byzantine = std::make_shared<ByzantineModel>(
+      std::set<RobotId>{1}, ByzantineLie::kHideMultiplicity);
+  Engine engine(adv, placement::rooted(12, 8),
+                core::dispersion_factory_memoized(), opt);
+  try {
+    (void)engine.run();
+    ADD_FAILURE() << "a tampered broadcast passed the reference check";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.oracle(), "broadcast-reference");
+    EXPECT_EQ(e.round(), 0u);
+  }
 }
 
 // ---- planted bugs: the acceptance criteria of the harness ----

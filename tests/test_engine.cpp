@@ -1,12 +1,14 @@
 // Tests for engine mechanics: model-requirement enforcement, arrival ports,
-// state exchange, round accounting, invalid-port rejection, traces, and the
-// adversary plan probe.
+// state exchange, round accounting, invalid-port rejection, traces, the
+// adversary plan probe, and the round loop's cross-round reuse.
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.h"
 #include "core/dispersion.h"
 #include "dynamic/random_adversary.h"
+#include "dynamic/scripted_adversary.h"
 #include "dynamic/static_adversary.h"
+#include "dynamic/t_interval_adversary.h"
 #include "graph/builders.h"
 #include "robots/placement.h"
 #include "sim/engine.h"
@@ -189,6 +191,51 @@ TEST(Engine, AlgorithmNameExposed) {
 }
 
 // ---- experiment harness ----
+
+RunResult run_replay(Adversary& adv, std::size_t n, std::size_t k) {
+  EngineOptions opt;
+  opt.max_rounds = 20 * k;
+  Engine engine(adv, placement::rooted(n, k),
+                core::dispersion_factory_memoized(), opt);
+  return engine.run();
+}
+
+TEST(Engine, ReplayHeavyAdversariesReuseWork) {
+  // Adversaries that replay graphs across rounds: the round loop skips
+  // next_graph on same_as_last promises, republishes or delta-assembles the
+  // broadcast, and skips re-validating an unchanged graph. (That every
+  // reused broadcast equals a fresh assembly is the broadcast-reference
+  // oracle's job; the golden packet traces pin the wire bytes.)
+  const std::size_t n = 30, k = 20;
+  {
+    StaticAdversary adv(builders::torus(5, 6));
+    const RunResult r = run_replay(adv, n, k);
+    EXPECT_TRUE(r.dispersed);
+    EXPECT_GT(r.stats.graph_reuses, 0u);
+    EXPECT_GT(r.stats.broadcasts_reused + r.stats.broadcast_deltas, 0u);
+    EXPECT_GT(r.stats.validations_skipped, 0u);
+    // The retired cross-round plan cache's counters stay 0 by construction.
+    EXPECT_EQ(r.stats.sc_exact_hits + r.stats.sc_delta_rounds, 0u);
+  }
+  {
+    TIntervalAdversary adv(std::make_unique<RandomAdversary>(n, n / 4, 3), 5);
+    const RunResult r = run_replay(adv, n, k);
+    EXPECT_GT(r.stats.graph_reuses, 0u);
+    EXPECT_GT(r.stats.broadcasts_reused + r.stats.broadcast_deltas, 0u);
+    EXPECT_GT(r.stats.validations_skipped, 0u);
+  }
+  {
+    Rng rng(9);
+    std::vector<Graph> script;
+    for (int i = 0; i < 3; ++i)
+      script.push_back(builders::random_connected(n, n / 2, rng));
+    ScriptedAdversary adv(script);  // repeats its last graph forever
+    const RunResult r = run_replay(adv, n, k);
+    EXPECT_GT(r.stats.graph_reuses, 0u);
+    EXPECT_GT(r.stats.broadcasts_reused + r.stats.broadcast_deltas, 0u);
+    EXPECT_GT(r.stats.validations_skipped, 0u);
+  }
+}
 
 TEST(Experiment, SweepAggregatesTrials) {
   analysis::TrialSpec spec;

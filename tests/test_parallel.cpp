@@ -250,21 +250,21 @@ TEST(ThreadDeterminism, ProbeDrivenTrapAdversary) {
 // ---- Single-assembly invariant ----
 
 TEST(RoundPipeline, PacketsAssembledExactlyOncePerRound) {
-  // RandomAdversary never probes, so the only assemblies are the per-round
-  // broadcasts: the global counter must advance by exactly r.rounds. The
-  // delta-aware loop replaces some assemblies with reuse/delta rounds, so
-  // the exactly-once pin is stated against the loop it describes: cache off.
+  // RandomAdversary never probes, so every round publishes exactly one
+  // broadcast by exactly one path: a full assembly (the global counter), a
+  // republication of the previous broadcast, or a delta assembly.
   const std::size_t n = 36, k = 24;
   RandomAdversary adv(n, n / 3, 7);
   EngineOptions opt;
   opt.max_rounds = 200;
-  opt.structure_cache = false;
   Engine engine(adv, placement::rooted(n, k),
                 core::dispersion_factory_memoized(), opt);
   const std::size_t before = packet_assembly_count();
   const RunResult r = engine.run();
   EXPECT_TRUE(r.dispersed);
-  EXPECT_EQ(packet_assembly_count() - before, r.rounds);
+  EXPECT_EQ(packet_assembly_count() - before + r.stats.broadcasts_reused +
+                r.stats.broadcast_deltas,
+            r.rounds);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Campaign service: the worker protocol, the coordinator's multi-process
 // scheduling (bitwise-identical merged stores at any worker count, crash
 // recovery, shard resume, poisoned-job handling), the durable store, the
-// auto-thread manifest echo, and the serve queue's spool contract.
+// and the auto-thread manifest echo.
 //
 // Process-spawning cases exec the real dyndisp_campaign binary; its path
 // arrives via the DYNDISP_CAMPAIGN_BIN compile definition and the cases
@@ -11,14 +11,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "campaign/scheduler.h"
 #include "campaign/service/coordinator.h"
-#include "campaign/service/queue.h"
 #include "campaign/service/shard.h"
 #include "campaign/service/worker.h"
 #include "campaign/spec.h"
@@ -29,18 +31,33 @@ namespace {
 
 namespace fs = std::filesystem;
 using service::CoordinatorOptions;
-using service::ServeOptions;
 using service::ServiceOutcome;
 using service::WorkerOptions;
 
 /// Fresh scratch directory per test case, removed up-front so reruns are
-/// clean.
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("dyndisp_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+/// clean and removed again when the case ends. The process id keeps
+/// concurrent runs of one case (a repeat loop beside a full ctest) out of
+/// each other's stores.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_((fs::temp_directory_path() /
+               ("dyndisp_" + name + "_" + std::to_string(getpid())))
+                  .string()) {
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    fs::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string campaign_binary() {
 #ifdef DYNDISP_CAMPAIGN_BIN
@@ -102,7 +119,8 @@ CoordinatorOptions coordinator_options(std::size_t workers) {
 // Worker protocol (in-process: run_worker is a plain function over streams)
 
 TEST(ServiceWorker, RunsJobsFromStreamAndAcksDurably) {
-  const std::string dir = scratch_dir("svc_worker");
+  const ScratchDir scratch("svc_worker");
+  const std::string& dir = scratch.path();
   const std::string spec_path = write_spec(dir);
   WorkerOptions opts;
   opts.spec_path = spec_path;
@@ -132,7 +150,8 @@ TEST(ServiceWorker, RunsJobsFromStreamAndAcksDurably) {
 }
 
 TEST(ServiceWorker, RejectsOutOfRangeIndex) {
-  const std::string dir = scratch_dir("svc_worker_oob");
+  const ScratchDir scratch("svc_worker_oob");
+  const std::string& dir = scratch.path();
   WorkerOptions opts;
   opts.spec_path = write_spec(dir);
   opts.store_dir = dir + "/shard";
@@ -145,7 +164,8 @@ TEST(ServiceWorker, RejectsOutOfRangeIndex) {
 // Store satellites: durable appends, atomic ordered merge
 
 TEST(ServiceStore, DurableAppendRoundTrips) {
-  const std::string dir = scratch_dir("svc_durable");
+  const ScratchDir scratch("svc_durable");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::vector<JobSpec> jobs = spec.expand();
   ResultStore store(dir);
@@ -162,7 +182,8 @@ TEST(ServiceStore, DurableAppendRoundTrips) {
 }
 
 TEST(ServiceStore, ReplaceAllSortsAndDedupes) {
-  const std::string dir = scratch_dir("svc_replace");
+  const ScratchDir scratch("svc_replace");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::vector<JobSpec> jobs = spec.expand();
   ASSERT_GE(jobs.size(), 3u);
@@ -197,7 +218,8 @@ TEST(ServiceStore, ReplaceAllSortsAndDedupes) {
 // Scheduler satellite: auto thread default echoed in the manifest
 
 TEST(SchedulerThreads, AutoResolvesToHardwareConcurrencyAndEchoes) {
-  const std::string dir = scratch_dir("svc_auto_threads");
+  const ScratchDir scratch("svc_auto_threads");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   ResultStore store(dir);
   const CampaignOutcome outcome =
@@ -215,7 +237,8 @@ TEST(SchedulerThreads, AutoResolvesToHardwareConcurrencyAndEchoes) {
 
 TEST(ServiceCoordinator, MergedStoreBitwiseIdenticalAtAnyWorkerCount) {
   if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_bitwise");
+  const ScratchDir scratch("svc_bitwise");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::string reference = reference_results(spec, dir);
   ASSERT_FALSE(reference.empty());
@@ -239,16 +262,19 @@ TEST(ServiceCoordinator, MergedStoreBitwiseIdenticalAtAnyWorkerCount) {
 
 TEST(ServiceCoordinator, SigkilledWorkerIsRecoveredBitwise) {
   if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_kill");
+  const ScratchDir scratch("svc_kill");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::string reference = reference_results(spec, dir);
 
-  // Worker 0's first incarnation SIGKILLs itself after appending its second
+  // Worker 0's first incarnation SIGKILLs itself after appending its first
   // record, before acking it: the coordinator must recover that record from
   // the shard store (not re-run the job) and finish the rest with a
-  // replacement worker.
+  // replacement worker. The coordinator hands every worker one job at
+  // spawn, so the kill is certain; with a later kill point the other worker
+  // could drain the whole queue first and the kill would never fire.
   CoordinatorOptions opts = coordinator_options(2);
-  opts.kill_after = 2;
+  opts.kill_after = 1;
   ResultStore store(dir + "/killed");
   const ServiceOutcome outcome = service::run_coordinator(spec, store, opts);
   EXPECT_TRUE(outcome.ok());
@@ -259,7 +285,8 @@ TEST(ServiceCoordinator, SigkilledWorkerIsRecoveredBitwise) {
 
 TEST(ServiceCoordinator, ResumesLeftoverShardsWithoutRerunning) {
   if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_resume");
+  const ScratchDir scratch("svc_resume");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::string reference = reference_results(spec, dir);
 
@@ -288,7 +315,8 @@ TEST(ServiceCoordinator, ResumesLeftoverShardsWithoutRerunning) {
 
 TEST(ServiceCoordinator, JobThatCrashesTwiceIsPoisonedOthersComplete) {
   if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_poison");
+  const ScratchDir scratch("svc_poison");
+  const std::string& dir = scratch.path();
   const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
   const std::vector<JobSpec> jobs = spec.expand();
 
@@ -316,95 +344,6 @@ TEST(ServiceCoordinator, JobThatCrashesTwiceIsPoisonedOthersComplete) {
   EXPECT_EQ(healed.campaign.skipped, spec.job_count() - 1);
   EXPECT_EQ(healed.campaign.executed, 1u);
   EXPECT_EQ(read_file(store.results_path()), reference_results(spec, dir));
-}
-
-// ---------------------------------------------------------------------------
-// Serve queue mode: spool contract, admission control, backpressure
-
-TEST(ServiceQueue, DrainsSpoolRejectsBadSpecsWritesStatus) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_spool");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream good(spool + "/incoming/good.json");
-    good << kSpec;
-    std::ofstream bad(spool + "/incoming/zbad.json");
-    bad << "{ not json";
-  }
-
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.workers = 2;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 1u);
-  EXPECT_EQ(report.specs_failed, 0u);
-  EXPECT_EQ(report.specs_rejected, 1u);
-
-  EXPECT_TRUE(fs::exists(spool + "/done/good.json"));
-  EXPECT_TRUE(fs::exists(spool + "/rejected/zbad.json"));
-  EXPECT_TRUE(fs::exists(spool + "/rejected/zbad.json.error"));
-  EXPECT_TRUE(fs::exists(spool + "/status.json"));
-
-  // The result store is the coordinator merge: bitwise reference bytes.
-  const CampaignSpec spec = CampaignSpec::parse_json(kSpec);
-  EXPECT_EQ(read_file(spool + "/out/good/results.jsonl"),
-            reference_results(spec, dir));
-
-  const std::string status = service::render_spool_status(spool);
-  EXPECT_NE(status.find("done: 1"), std::string::npos);
-  EXPECT_NE(status.find("rejected: 1"), std::string::npos);
-}
-
-TEST(ServiceQueue, BackpressureDefersUntilBudgetFrees) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_backpressure");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream a(spool + "/incoming/a.json");
-    a << kSpec;
-    std::ofstream b(spool + "/incoming/b.json");
-    b << kSpec;
-  }
-
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.workers = 2;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  // Budget fits exactly one spec (8 jobs each): b must defer, then run.
-  opts.max_queued_jobs = 10;
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 2u);
-  EXPECT_GE(report.deferrals, 1u);
-  EXPECT_TRUE(fs::exists(spool + "/done/a.json"));
-  EXPECT_TRUE(fs::exists(spool + "/done/b.json"));
-}
-
-TEST(ServiceQueue, OverBudgetSpecIsRejectedNotDeferred) {
-  if (!have_binary()) GTEST_SKIP() << "dyndisp_campaign binary not built";
-  const std::string dir = scratch_dir("svc_overbudget");
-  const std::string spool = dir + "/spool";
-  fs::create_directories(spool + "/incoming");
-  {
-    std::ofstream a(spool + "/incoming/huge.json");
-    a << kSpec;  // 8 jobs > budget of 4: can never fit
-  }
-  ServeOptions opts;
-  opts.spool_dir = spool;
-  opts.once = true;
-  opts.record_timing = false;
-  opts.worker_binary = campaign_binary();
-  opts.max_queued_jobs = 4;
-  const service::ServeReport report = service::run_serve(opts);
-  EXPECT_EQ(report.specs_completed, 0u);
-  EXPECT_EQ(report.specs_rejected, 1u);
-  EXPECT_TRUE(fs::exists(spool + "/rejected/huge.json.error"));
 }
 
 }  // namespace

@@ -60,9 +60,6 @@ flags (all optional):
                        activates one robot per round)
   --threads T          compute-phase worker threads (default 1; results
                        are identical at any thread count)
-  --no-structure-cache disable the delta-aware round loop / structure cache
-                       (results are identical either way; this exposes the
-                       rebuild-everything engine for benchmarking)
   --faults F           robots to crash at random rounds (default 0)
   --liars L            Byzantine liars (robots 1..L) (default 0)
   --lie KIND           hide-multiplicity | hide-empty | erratic
@@ -133,7 +130,6 @@ int main(int argc, char** argv) {
         args.get_bool("knowledge", algo.needs_knowledge);
     options.allow_model_mismatch = true;
     options.record_progress = true;
-    if (args.has("no-structure-cache")) options.structure_cache = false;
     if (activation < 1.0) {
       options.activation = Activation::kRandomSubset;
       options.activation_probability = activation;
@@ -223,7 +219,7 @@ int main(int argc, char** argv) {
     std::fputs(table.render().c_str(), stdout);
     return dispersed == trials ? 0 : 1;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
+    std::fprintf(stderr, "error: %s\nsee --help for usage\n", e.what());
     return 2;
   }
 }
